@@ -280,6 +280,23 @@ let sweep_json entries total (stats : Mapqn_core.Bounds.Sweep.stats) =
              entries) );
     ]
 
+(* [f ()] with the LU layer of the revised solves it runs: the number of
+   factorizations and their summed seconds, read off the "factorize"
+   profiling spans it adds (profiling must be on). *)
+let with_lu_spans f =
+  let before = Mapqn_obs.Span.snapshot () in
+  let result = f () in
+  let added = Mapqn_obs.Prof.diff ~baseline:before (Mapqn_obs.Span.snapshot ()) in
+  let lus, seconds =
+    List.fold_left
+      (fun (n, s) (e : Mapqn_obs.Span.entry) ->
+        match List.rev e.path with
+        | "factorize" :: _ -> (n + e.count, s +. e.total)
+        | _ -> (n, s))
+      (0, 0.) added
+  in
+  (result, lus, seconds)
+
 let lp () =
   let module J = Mapqn_obs.Json in
   let both = [ 40; 100 ] and revised_only = [ 250; 500 ] in
@@ -290,14 +307,29 @@ let lp () =
      spans at exit, so the collector must not be reset here). *)
   let spans0 = Mapqn_obs.Span.snapshot () in
   Mapqn_obs.Prof.enable ();
-  let rows = ref [] and json = ref [] in
+  let rows = ref [] and json = ref [] and lu = ref [] in
+  let revised_run n =
+    let run, lus, seconds =
+      with_lu_spans (fun () -> lp_run Mapqn_core.Bounds.Revised n)
+    in
+    lu :=
+      J.Object
+        [
+          ("population", J.Number (float_of_int n));
+          ("lus", J.Number (float_of_int lus));
+          ( "mean_s",
+            J.Number (if lus > 0 then seconds /. float_of_int lus else 0.) );
+        ]
+      :: !lu;
+    run
+  in
   let solver_obj create_s eval_s =
     J.Object
       [ ("create_s", J.Number create_s); ("eval_s", J.Number eval_s) ]
   in
   List.iter
     (fun n ->
-      let rev, rc, re = lp_run Mapqn_core.Bounds.Revised n in
+      let rev, rc, re = revised_run n in
       let den, dc, de = lp_run Mapqn_core.Bounds.Dense n in
       let worst, at = lp_disagreement rev den in
       let speedup = (dc +. de) /. (rc +. re) in
@@ -323,7 +355,7 @@ let lp () =
     both;
   List.iter
     (fun n ->
-      let _, rc, re = lp_run Mapqn_core.Bounds.Revised n in
+      let _, rc, re = revised_run n in
       rows :=
         [
           string_of_int n;
@@ -421,6 +453,11 @@ let lp () =
                  ("speedup", J.Number (cold_total /. warm_total));
                ] );
            ("certificates", certificates);
+           (* The LU layer of each population's revised create + eval:
+              factorizations and mean seconds per factorization — the
+              regression gate holds the mean when its baseline has this
+              block. *)
+           ("lu", J.List (List.rev !lu));
            (* Per-phase self-time breakdown of the whole sweep (top 25
               by self-time) — the measurement every perf PR is judged
               against. *)

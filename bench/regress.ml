@@ -13,6 +13,8 @@
    - a sweep total (warm or cold end-to-end wall time of the
      cross-population sweep section) regressed by more than the
      threshold, or
+   - the mean seconds per LU factorization of a population (the "lu"
+     block) regressed by more than the threshold, or
    - the candidate reports any LP certificate failure, or
    - the candidate's fleet section reports non-bit-identical parallel
      results, or a 4-domain speedup below 2.0x on a machine with >= 4
@@ -30,9 +32,9 @@
    are reported but never gate (a new population or a newly recorded
    field is growth, not a regression; "skipped (timeout)" dense entries
    match nothing). The same applies to whole sections: a baseline
-   without a "certificates" or "phases" block — written before that
-   machinery existed — only warns. Old baselines must not turn the gate
-   off, but must not fail it retroactively either. *)
+   without a "certificates", "phases" or "lu" block — written before
+   that machinery existed — only warns. Old baselines must not turn the
+   gate off, but must not fail it retroactively either. *)
 
 module J = Mapqn_obs.Json
 
@@ -96,6 +98,21 @@ let sweep_totals doc =
               (fun total -> (variant, total))
               (Option.bind (J.member "total_s" obj) J.get_float)))
       [ "warm"; "cold" ]
+
+(* population -> mean seconds per LU of the "lu" block, when present. *)
+let lu_means doc =
+  match J.member "lu" doc with
+  | Some (J.List l) ->
+    List.filter_map
+      (fun entry ->
+        match
+          ( Option.bind (J.member "population" entry) J.get_float,
+            Option.bind (J.member "mean_s" entry) J.get_float )
+        with
+        | Some n, Some mean -> Some (int_of_float n, mean)
+        | _ -> None)
+      l
+  | _ -> []
 
 (* The numeric value of a named counter/gauge sample in a BENCH_obs.json
    telemetry dump ({"metrics": [{"name"; "type"; "value"; ...}; ...]}).
@@ -204,6 +221,24 @@ let () =
   if sweep_base = [] then
     Printf.printf
       "  note: baseline has no sweep block (pre-sweep format, not gated)\n";
+  let lu_base = lu_means baseline and lu_cand = lu_means candidate in
+  List.iter
+    (fun (n, cand_s) ->
+      match List.assoc_opt n lu_base with
+      | None ->
+        Printf.printf "  N=%-4d LU mean %8.4fs  (no baseline entry, not gated)\n"
+          n cand_s
+      | Some base_s ->
+        let ratio = if base_s > 0. then cand_s /. base_s -. 1. else 0. in
+        let gated = ratio > !threshold in
+        if gated then incr failures;
+        Printf.printf "  N=%-4d LU mean %8.4fs vs %8.4fs  %+6.1f%%%s\n" n cand_s
+          base_s (100. *. ratio)
+          (if gated then "  REGRESSION" else ""))
+    lu_cand;
+  if lu_base = [] then
+    Printf.printf
+      "  note: baseline has no lu block (pre-LU-layer format, not gated)\n";
   (match J.member "certificates" candidate with
   | Some certs -> (
     match Option.bind (J.member "failures" certs) J.get_float with

@@ -89,13 +89,17 @@ let eps_cost = 1e-8
 (* Forrest–Tomlin-style reinversion policy defaults: rather than
    refactorizing every fixed number of pivots, the eta file is kept until
    its growth or its numerical health says otherwise (see [run_phase]).
-   The growth limit balances two measured costs on the large Figure-4
-   instances (m ≈ 8000, ~0.2s per Markowitz refactorization): looser
-   limits trade fewer rebuilds for longer eta chains, which both slow
-   every FTRAN/BTRAN and degrade pricing enough to multiply the pivot
-   count (12× roughly doubled bound-report time, 64× walked phase 1
-   into stuck near-feasible vertices). 4× sits at the measured
-   optimum. *)
+   The growth limit trades the cost of a fresh LU against the longer
+   eta chains that every FTRAN/BTRAN walks between rebuilds.  One LU
+   of {!Lu} costs about 1.5–2 ms at m = 1619 (Figure-4 tandem, N = 100)
+   and 4 ms (phase-1 bases) to 14 ms (phase-2 bases) at m = 4019
+   (N = 250).  At those prices tighter limits still do not pay: on the
+   benchmark's fig4-sweep, limits of 2 and 3 refactorize 2.3× and 1.4×
+   as often and run 1% faster and 16% slower; on table1-fleet (many LPs
+   of 74–284 rows) they run 27% and 7% slower.  Looser limits degrade
+   pricing enough to multiply the pivot count (measured with the
+   earlier LU: 12× roughly doubled the bound-report time, 64× walked
+   phase 1 into stuck near-feasible vertices). *)
 let default_growth_limit = 4.0
 let default_drift_tol = 1e-6
 let default_check_interval = 128
@@ -112,7 +116,7 @@ let default_pivot_backstop = 5_000
    transposed inverses newest-first. Refactorization rebuilds the file
    from identity by re-pivoting the basic columns, so the same mechanism
    serves both pivot updates and reinversion. *)
-type eta = { row : int; pivot : float; idx : int array; vals : float array }
+type eta = Lu.eta = { row : int; pivot : float; idx : int array; vals : float array }
 
 type t = {
   std : Std_form.t;
@@ -239,21 +243,21 @@ let eta_of_pivot w r m =
     Some { row = r; pivot = w.(r); idx; vals }
   end
 
-(* Rebuild the eta file from identity by re-pivoting the basic columns —
-   a sparse right-looking Gaussian elimination in product form.  The
-   pivot order follows a Markowitz-style heuristic (sparsest column
-   first, then the candidate row of least incidence, subject to a
-   relative stability threshold), which keeps the fill-in of the
-   refactored eta file near nnz(B) on the banded marginal-balance
-   matrices instead of the O(m²) a naive order produces.  Each pivot
-   emits the eta of the partially eliminated column and eagerly applies
-   it to the remaining columns that intersect the pivot row — the
-   product form this builds is identical to FTRAN-ing every column
-   through the preceding etas, just computed sparsely.  Rows may end up
-   assigned to different basic columns; the represented basis (as a set)
-   is unchanged.  Also recomputes the basic values from the perturbed
-   right-hand side, washing out the roundoff accumulated by incremental
-   updates. *)
+(* [f row value] over column j: a structural column of the matrix, or
+   an artificial ±e_i. *)
+let iter_col t j f =
+  if j < t.n_struct then Csr.iter_row t.cols j f
+  else
+    let i = t.art_row.(j - t.n_struct) in
+    f i t.art_sign.(i)
+
+(* Rebuild the eta file from identity by re-pivoting the basic columns
+   through the sparse LU of {!Lu}: its L etas in pivot order, then its U
+   etas in reverse pivot order, so that FTRAN performs forward and back
+   substitution.  Rows may end up assigned to different basic columns;
+   the represented basis (as a set) is unchanged.  Also recomputes the
+   basic values from the perturbed right-hand side, washing out the
+   roundoff accumulated by incremental updates. *)
 let refactor t =
   Metrics.inc m_refactor;
   t.n_refactors <- t.n_refactors + 1;
@@ -262,208 +266,23 @@ let refactor t =
   t.eta_nnz <- 0;
   t.pivots_since_refactor <- 0;
   let m = t.m in
-  let assigned = Array.make m false in
+  let row_of = Array.make m (-1) in
+  let lu =
+    Lu.factor ~m ~row_of ~push:(push_eta t) ~column:(fun k -> iter_col t t.basis.(k))
+  in
   let new_basis = Array.make m (-1) in
-  (* Working copy of the basis columns, by basis position.  [colv.(k)]
-     maps row -> current value of the partially eliminated column;
-     [rowocc.(i)] over-approximates the set of remaining columns with a
-     nonzero at row [i] (entries go stale when a value cancels). *)
-  let colv = Array.init m (fun _ -> Hashtbl.create 8) in
-  let rowocc = Array.init m (fun _ -> Hashtbl.create 8) in
-  let col_cnt = Array.make m 0 in
-  let row_cnt = Array.make m 0 in
+  Array.iteri (fun k r -> if r >= 0 then new_basis.(r) <- t.basis.(k)) row_of;
   (* Health gauges: largest |basis entry| (the growth denominator),
      largest |entry| produced during elimination, and the range of
      accepted pivot magnitudes. *)
-  let h_bmax = ref 0. and h_fmax = ref 0. in
-  let h_pmin = ref infinity and h_pmax = ref 0. in
-  let grow v =
-    let a = Float.abs v in
-    if a > !h_fmax then h_fmax := a
-  in
+  let h_fmax = ref lu.Lu.max_elim in
+  let h_pmin = ref lu.Lu.min_pivot and h_pmax = ref lu.Lu.max_pivot in
   let pivot_mag p =
     let a = Float.abs p in
     if a < !h_pmin then h_pmin := a;
     if a > !h_pmax then h_pmax := a;
     if a > !h_fmax then h_fmax := a
   in
-  Array.iteri
-    (fun k c ->
-      if c < t.n_struct then
-        Csr.iter_row t.cols c (fun i v ->
-            if v <> 0. then begin
-              if Float.abs v > !h_bmax then h_bmax := Float.abs v;
-              Hashtbl.replace colv.(k) i v;
-              Hashtbl.replace rowocc.(i) k ();
-              col_cnt.(k) <- col_cnt.(k) + 1;
-              row_cnt.(i) <- row_cnt.(i) + 1
-            end)
-      else begin
-        if 1. > !h_bmax then h_bmax := 1.;
-        let i = t.art_row.(c - t.n_struct) in
-        Hashtbl.replace colv.(k) i t.art_sign.(i);
-        Hashtbl.replace rowocc.(i) k ();
-        col_cnt.(k) <- col_cnt.(k) + 1;
-        row_cnt.(i) <- row_cnt.(i) + 1
-      end)
-    t.basis;
-  let remaining = Array.make m true in
-  let deferred = ref [] in
-  let u_etas = ref [] in
-  let n_left = ref m in
-  (* Take column [k] out of the active submatrix counts. *)
-  let retire k =
-    remaining.(k) <- false;
-    decr n_left;
-    Hashtbl.iter (fun i _ -> row_cnt.(i) <- row_cnt.(i) - 1) colv.(k)
-  in
-  while !n_left > 0 do
-    (* Markowitz pivot choice: among a short list of the sparsest
-       remaining columns, the entry minimizing
-       (row_cnt − 1)·(col_cnt − 1) over candidates no smaller than a
-       tenth of their column max — the classic fill-in estimate, with a
-       relative stability threshold. *)
-    let cmin = ref max_int in
-    for k = 0 to m - 1 do
-      if remaining.(k) && col_cnt.(k) < !cmin then cmin := col_cnt.(k)
-    done;
-    if !cmin = max_int then n_left := 0
-    else begin
-      let cands = ref [] and n_cands = ref 0 in
-      (let k = ref 0 in
-       while !n_cands < 8 && !k < m do
-         if remaining.(!k) && col_cnt.(!k) <= !cmin + 1 then begin
-           cands := !k :: !cands;
-           incr n_cands
-         end;
-         incr k
-       done);
-      let k_best = ref (-1)
-      and r_best = ref (-1)
-      and p_best = ref 0.
-      and score_best = ref max_int in
-      List.iter
-        (fun k ->
-          let colmax = ref 0. in
-          Hashtbl.iter
-            (fun i v ->
-              if (not assigned.(i)) && Float.abs v > !colmax then
-                colmax := Float.abs v)
-            colv.(k);
-          if !colmax <= 1e-11 then begin
-            retire k;
-            deferred := k :: !deferred
-          end
-          else
-            Hashtbl.iter
-              (fun i v ->
-                if (not assigned.(i)) && Float.abs v >= 0.1 *. !colmax then begin
-                  let score = (row_cnt.(i) - 1) * (col_cnt.(k) - 1) in
-                  if
-                    score < !score_best
-                    || (score = !score_best && Float.abs v > Float.abs !p_best)
-                  then begin
-                    k_best := k;
-                    r_best := i;
-                    p_best := v;
-                    score_best := score
-                  end
-                end)
-              colv.(k))
-        !cands;
-      if !k_best >= 0 then begin
-        let k = !k_best in
-        let r = !r_best in
-        let p = !p_best in
-        pivot_mag p;
-        retire k;
-        (* Split the pivot column: entries at unassigned rows are the
-           multipliers (the L eta emitted now); entries at assigned rows
-           are frozen U values (buffered, appended in reverse order after
-           the elimination so that FTRAN performs back substitution). *)
-        let lidx = ref [] and lvals = ref [] and ln = ref 0 in
-        let uidx = ref [] and uvals = ref [] and un = ref 0 in
-        Hashtbl.iter
-          (fun i v ->
-            if i <> r then begin
-              grow v;
-              if assigned.(i) then begin
-                uidx := i :: !uidx;
-                uvals := v :: !uvals;
-                incr un
-              end
-              else begin
-                lidx := i :: !lidx;
-                lvals := v :: !lvals;
-                incr ln
-              end
-            end)
-          colv.(k);
-        let lidx = Array.of_list !lidx and lvals = Array.of_list !lvals in
-        if !ln > 0 || Float.abs (p -. 1.) >= 1e-15 then
-          push_eta t { row = r; pivot = p; idx = lidx; vals = lvals };
-        if !un > 0 then
-          u_etas :=
-            {
-              row = r;
-              pivot = 1.;
-              idx = Array.of_list !uidx;
-              vals = Array.of_list !uvals;
-            }
-            :: !u_etas;
-        assigned.(r) <- true;
-        new_basis.(r) <- t.basis.(k);
-        (* Eagerly eliminate the pivot row from the remaining columns:
-           their entry at [r] becomes the frozen multiplier f = v_r / p
-           (a future U value), and only active-submatrix rows are
-           updated — this is what keeps LU fill-in small where a full
-           product-form column transform would smear into the assigned
-           rows. *)
-        let touched = Hashtbl.fold (fun k' () acc -> k' :: acc) rowocc.(r) [] in
-        List.iter
-          (fun k' ->
-            if k' <> k && remaining.(k') then begin
-              match Hashtbl.find_opt colv.(k') r with
-              | None -> ()
-              | Some vr ->
-                col_cnt.(k') <- col_cnt.(k') - 1;
-                let f = vr /. p in
-                Hashtbl.replace colv.(k') r f;
-                Array.iteri
-                  (fun q i ->
-                    let old =
-                      match Hashtbl.find_opt colv.(k') i with
-                      | Some v -> v
-                      | None -> 0.
-                    in
-                    let nv = old -. (lvals.(q) *. f) in
-                    if Float.abs nv < 1e-13 then begin
-                      if old <> 0. then begin
-                        Hashtbl.remove colv.(k') i;
-                        row_cnt.(i) <- row_cnt.(i) - 1;
-                        col_cnt.(k') <- col_cnt.(k') - 1
-                      end
-                    end
-                    else begin
-                      grow nv;
-                      Hashtbl.replace colv.(k') i nv;
-                      if old = 0. then begin
-                        Hashtbl.replace rowocc.(i) k' ();
-                        row_cnt.(i) <- row_cnt.(i) + 1;
-                        col_cnt.(k') <- col_cnt.(k') + 1
-                      end
-                    end)
-                  lidx
-            end)
-          touched;
-        (* Retire column [k] from the row occupancy. *)
-        Hashtbl.iter (fun i _ -> Hashtbl.remove rowocc.(i) k) colv.(k);
-        Hashtbl.reset colv.(k)
-      end
-    end
-  done;
-  (* Back-substitution etas: U_m, …, U_1 (reverse pivot order). *)
-  List.iter (fun e -> push_eta t e) !u_etas;
   (* Numerically deferred columns: pivot them through the eta file built
      so far, on the largest unassigned entry of B⁻¹a — the dense
      fallback of last resort.  A column whose transform has no usable
@@ -476,7 +295,7 @@ let refactor t =
       ftran_col t c w;
       let r = ref (-1) and best = ref 1e-11 in
       for i = 0 to m - 1 do
-        if (not assigned.(i)) && Float.abs w.(i) > !best then begin
+        if new_basis.(i) < 0 && Float.abs w.(i) > !best then begin
           r := i;
           best := Float.abs w.(i)
         end
@@ -485,10 +304,9 @@ let refactor t =
       else begin
         pivot_mag w.(!r);
         (match eta_of_pivot w !r m with Some e -> push_eta t e | None -> ());
-        assigned.(!r) <- true;
         new_basis.(!r) <- c
       end)
-    (List.rev !deferred);
+    lu.Lu.deferred;
   (* Basis repair: cover each still-unassigned row with its artificial
      unit column ±e_r.  At an unassigned row, ±e_r is untouched by every
      eta built above (they all pivot on assigned rows), so the repair
@@ -530,7 +348,7 @@ let refactor t =
   t.base_eta_nnz <- t.eta_nnz;
   Metrics.set m_eta_nnz (float_of_int t.eta_nnz);
   Health.observe_refactor
-    ~growth:(if !h_bmax > 0. then !h_fmax /. !h_bmax else 0.)
+    ~growth:(if lu.Lu.max_entry > 0. then !h_fmax /. lu.Lu.max_entry else 0.)
     ~min_pivot:(if !h_pmin = infinity then 0. else !h_pmin)
     ~max_pivot:!h_pmax;
   if Trace.is_enabled () then
@@ -1659,6 +1477,33 @@ let stats t =
   }
 
 let force_refactor t = refactor t
+
+let factor_residual t =
+  let m = t.m in
+  let x = Array.make m 0. and r = Array.make m 0. and e = Array.make m 0. in
+  let worst = ref 0. in
+  let note () =
+    Array.iter (fun v -> worst := Float.max !worst (Float.abs v)) r
+  in
+  for i = 0 to m - 1 do
+    e.(i) <- 1.;
+    (* B·FTRAN(e_i) − e_i *)
+    Array.blit e 0 x 0 m;
+    ftran_apply t x;
+    primal_residual_into t ~rhs:e x r;
+    note ();
+    (* Bᵀ·BTRAN(e_i) − e_i, one basic column at a time *)
+    Array.blit e 0 x 0 m;
+    btran_apply t x;
+    for j = 0 to m - 1 do
+      let dot = ref 0. in
+      iter_col t t.basis.(j) (fun row v -> dot := !dot +. (v *. x.(row)));
+      r.(j) <- !dot -. e.(j)
+    done;
+    note ();
+    e.(i) <- 0.
+  done;
+  !worst
 
 let set_reinversion ?growth_limit ?drift_tol ?check_interval ?pivot_backstop t =
   Option.iter (fun v -> t.growth_limit <- v) growth_limit;

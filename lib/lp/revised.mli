@@ -125,6 +125,12 @@ val force_refactor : t -> unit
     unchanged — exposed so tests can check that incremental eta updates
     and a fresh factorization agree. *)
 
+val factor_residual : t -> float
+(** Accuracy of the current eta file as a representation of [B⁻¹]: the
+    largest [‖B·FTRAN(e_i) − e_i‖∞] and [‖Bᵀ·BTRAN(e_i) − e_i‖∞] over
+    all unit vectors [e_i]. O(m) solves — a diagnostic for tests, not
+    for the solve path. *)
+
 val set_reinversion :
   ?growth_limit:float ->
   ?drift_tol:float ->

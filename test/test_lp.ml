@@ -420,6 +420,86 @@ let test_reinversion_stability_trigger () =
     (se.Revised.refactorizations >= sd.Revised.refactorizations);
   Alcotest.(check int) "same number of solves" sd.Revised.solves se.Revised.solves
 
+(* ---------------- basis factorization ---------------- *)
+
+(* [Revised.factor_residual] after a fresh factorization: the eta file
+   must reproduce B and Bᵀ on every unit vector to roundoff. *)
+let check_fresh_factorization name t =
+  Revised.force_refactor t;
+  let r = Revised.factor_residual t in
+  Alcotest.(check bool) (Printf.sprintf "%s: residual %.3g <= 1e-10" name r) true (r <= 1e-10)
+
+let prepared name m =
+  match Revised.prepare m with
+  | Ok t -> t
+  | Error e -> Alcotest.fail (name ^ ": " ^ Simplex.prepare_error_to_string e)
+
+let test_factor_all_slack () =
+  (* Only <= rows with nonnegative right-hand sides: phase 1 starts and
+     ends on the slack basis, which the singleton pass factorizes alone. *)
+  let m = Lp_model.create () in
+  let vars = Array.init 6 (fun _ -> Lp_model.add_var m) in
+  for r = 0 to 8 do
+    Lp_model.add_row m
+      (Array.to_list
+         (Array.mapi (fun j v -> (v, float_of_int (((r * 7) + (j * 3)) mod 5 - 2))) vars))
+      Lp_model.Le
+      (float_of_int (r + 1))
+  done;
+  let t = prepared "all-slack" m in
+  Alcotest.(check int) "no phase-1 pivots" 0 (Revised.stats t).Revised.pivots;
+  check_fresh_factorization "all-slack" t
+
+let test_factor_fig4 () =
+  let net = Mapqn_workloads.Tandem.network ~population:20 () in
+  let space, lp = Mapqn_core.Constraints.build Mapqn_core.Constraints.standard net in
+  let t = prepared "fig4 N=20" lp in
+  check_fresh_factorization "fig4 N=20 phase-1 basis" t;
+  let objective = ref [] in
+  Mapqn_core.Marginal_space.iter_phases space (fun h ->
+      let v = Mapqn_core.Marginal_space.v space ~station:0 ~level:0 ~phase:h in
+      objective := (Lp_model.var_of_int lp v, 1.) :: !objective);
+  ignore (solution (Revised.optimize t Simplex.Minimize !objective));
+  check_fresh_factorization "fig4 N=20 optimal basis" t
+
+let test_factor_random () =
+  List.iter
+    (fun seed ->
+      let m, vars, _, c = build_random_lp (6, 8, seed) in
+      Array.iter (fun v -> Lp_model.add_row m [ (v, 1.) ] Lp_model.Le 50.) vars;
+      let obj = Array.to_list (Array.mapi (fun i v -> (v, c.(i))) vars) in
+      let name = Printf.sprintf "random seed %d" seed in
+      let t = prepared name m in
+      check_fresh_factorization (name ^ " phase-1 basis") t;
+      ignore (solution (Revised.optimize t Simplex.Maximize obj));
+      check_fresh_factorization (name ^ " optimal basis") t)
+    [ 11; 42; 1234; 987654; 2024 ]
+
+let repairs () =
+  match Mapqn_obs.Metrics.find "revised_basis_repairs_total" with
+  | [ { Mapqn_obs.Metrics.value = Mapqn_obs.Metrics.Counter v; _ } ] -> v
+  | _ -> 0.
+
+let test_factor_dependent_repair () =
+  (* x and y have the same column, so a seed basis holding both is
+     singular: the factorization defers one of them, finds it dependent
+     and covers its row with a unit column. *)
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m and y = Lp_model.add_var m and z = Lp_model.add_var m in
+  Lp_model.add_row m [ (x, 1.); (y, 1.); (z, 1.) ] Lp_model.Le 4.;
+  Lp_model.add_row m [ (x, 1.); (y, 1.) ] Lp_model.Le 3.;
+  Lp_model.add_row m [ (z, 2.) ] Lp_model.Le 2.;
+  let before = repairs () in
+  let seeds = [ Revised.Seed_var (x :> int); Revised.Seed_var (y :> int) ] in
+  match Revised.prepare_seeded ~seeds m with
+  | Error e -> Alcotest.fail (Simplex.prepare_error_to_string e)
+  | Ok (t, _) ->
+    Alcotest.(check bool) "the basis was repaired" true (repairs () > before);
+    check_fresh_factorization "repaired basis" t;
+    check_obj "max x + y + z" 4.
+      (solution (Revised.optimize t Simplex.Maximize [ (x, 1.); (y, 1.); (z, 1.) ]))
+        .Simplex.objective
+
 let test_prepare_error_typed () =
   let m = Lp_model.create () in
   let x = Lp_model.add_var m in
@@ -629,6 +709,14 @@ let () =
           Alcotest.test_case "typed prepare errors" `Quick test_prepare_error_typed;
           QCheck_alcotest.to_alcotest prop_dense_revised_agree;
           QCheck_alcotest.to_alcotest prop_revised_solution_feasible;
+        ] );
+      ( "factorization",
+        [
+          Alcotest.test_case "all-slack basis" `Quick test_factor_all_slack;
+          Alcotest.test_case "fig4 N=20 bases" `Quick test_factor_fig4;
+          Alcotest.test_case "random LP bases" `Quick test_factor_random;
+          Alcotest.test_case "dependent-column repair" `Quick
+            test_factor_dependent_repair;
         ] );
       ( "certificate",
         [

@@ -710,7 +710,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_dense_revised_agree;
           QCheck_alcotest.to_alcotest prop_revised_solution_feasible;
         ] );
-      ( "factorization",
+      ( "lu-factor",
         [
           Alcotest.test_case "all-slack basis" `Quick test_factor_all_slack;
           Alcotest.test_case "fig4 N=20 bases" `Quick test_factor_fig4;

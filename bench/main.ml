@@ -286,7 +286,7 @@ let sweep_json entries total (stats : Mapqn_core.Bounds.Sweep.stats) =
 let with_lu_spans f =
   let before = Mapqn_obs.Span.snapshot () in
   let result = f () in
-  let added = Mapqn_obs.Prof.diff ~baseline:before (Mapqn_obs.Span.snapshot ()) in
+  let added = Mapqn_obs.Span.diff ~baseline:before (Mapqn_obs.Span.snapshot ()) in
   let lus, seconds =
     List.fold_left
       (fun (n, s) (e : Mapqn_obs.Span.entry) ->
@@ -306,7 +306,7 @@ let lp () =
      diff against the spans recorded so far (the bench harness dumps all
      spans at exit, so the collector must not be reset here). *)
   let spans0 = Mapqn_obs.Span.snapshot () in
-  Mapqn_obs.Prof.enable ();
+  Mapqn_obs.Span.enable_profiling ();
   let rows = ref [] and json = ref [] and lu = ref [] in
   let revised_run n =
     let run, lus, seconds =
@@ -381,11 +381,11 @@ let lp () =
     revised_only;
   let warm_entries, warm_total, warm_stats = run_sweep ~warm_start:true in
   let cold_entries, cold_total, cold_stats = run_sweep ~warm_start:false in
-  Mapqn_obs.Prof.disable ();
+  Mapqn_obs.Span.disable_profiling ();
   let phase_rows =
-    Mapqn_obs.Prof.attribution
+    Mapqn_obs.Span.attribution
       ~entries:
-        (Mapqn_obs.Prof.diff ~baseline:spans0 (Mapqn_obs.Span.snapshot ()))
+        (Mapqn_obs.Span.diff ~baseline:spans0 (Mapqn_obs.Span.snapshot ()))
       ()
   in
   Mapqn_util.Table.print
@@ -461,7 +461,7 @@ let lp () =
            (* Per-phase self-time breakdown of the whole sweep (top 25
               by self-time) — the measurement every perf PR is judged
               against. *)
-           ("phases", Mapqn_obs.Prof.to_json ~limit:25 phase_rows);
+           ("phases", Mapqn_obs.Span.attribution_json ~limit:25 phase_rows);
          ])
     ^ "\n"
   in
@@ -534,10 +534,10 @@ let trace_overhead () =
   Printf.printf "disabled-guard allocation over 1e6 pivot-path checks: %.0f \
                  minor words\n"
     words;
-  (* Same guarantee for the profiling guard: with Prof disabled the
+  (* Same guarantee for the profiling guard: with profiling off the
      pivot loop must read one flag and never touch the clock (a clock
      read boxes a float). *)
-  assert (not (Mapqn_obs.Prof.is_enabled ()));
+  assert (not (Mapqn_obs.Span.is_profiling ()));
   (* Measured against an empty control loop so that any constant cost of
      the measurement itself (boxing the baseline counter reading) cancels
      and only per-check allocation remains. *)
@@ -551,9 +551,9 @@ let trace_overhead () =
   let guarded =
     measure (fun () ->
         for _ = 1 to 1_000_000 do
-          if Mapqn_obs.Prof.is_enabled () then begin
-            let t0 = Mapqn_obs.Prof.now () in
-            acc := !acc +. (Mapqn_obs.Prof.now () -. t0)
+          if Mapqn_obs.Span.is_profiling () then begin
+            let t0 = Mapqn_obs.Span.now () in
+            acc := !acc +. (Mapqn_obs.Span.now () -. t0)
           end
         done)
   in

@@ -138,10 +138,15 @@ let finish_trace obs =
   | Some path ->
     (match Mapqn_obs.Trace.current () with
     | None -> ()
-    | Some trace -> (
-      try Mapqn_obs.Trace.write obs.trace_format ~path trace
-      with Sys_error msg ->
-        Printf.eprintf "mapqn: cannot write trace: %s\n" msg));
+    | Some trace ->
+      (try Mapqn_obs.Trace.write obs.trace_format ~path trace
+       with Sys_error msg ->
+         Printf.eprintf "mapqn: cannot write trace: %s\n" msg);
+      (* A ring overflow drops the oldest events; say so. *)
+      Printf.eprintf "trace: %d events emitted, %d retained, %d dropped\n%!"
+        (Mapqn_obs.Trace.emitted trace)
+        (Mapqn_obs.Trace.retained trace)
+        (Mapqn_obs.Trace.dropped trace));
     Mapqn_obs.Trace.disable ()
 
 (* Every subcommand runs inside [with_telemetry]: the whole run is timed
@@ -452,9 +457,8 @@ let scale_arg =
   Arg.(value & flag & info [ "paper-scale" ] ~doc)
 
 (* Sweep progress reporting (Mapqn_obs.Progress): --progress draws a
-   status line with an ETA, --heartbeat-out appends one JSONL record per
-   model/phase event; the heartbeat file doubles as the resume
-   checkpoint for table1's --resume-from. *)
+   status line with an ETA. The resume checkpoint of table1 and fleet is
+   the run ledger (--ledger-out, read back by --resume-from). *)
 
 let progress_arg =
   let doc =
@@ -463,34 +467,13 @@ let progress_arg =
   in
   Arg.(value & flag & info [ "progress" ] ~doc)
 
-let heartbeat_out_arg =
-  let doc =
-    "Append JSONL heartbeat records (model id, seed, phase, elapsed) to \
-     $(docv) as the sweep runs; the file doubles as a checkpoint for \
-     $(b,--resume-from)."
-  in
-  Arg.(value & opt (some string) None & info [ "heartbeat-out" ] ~docv:"FILE" ~doc)
-
-let with_progress ~label ~total ~progress ~heartbeat_out f =
-  if (not progress) && heartbeat_out = None then f None
+let with_progress ~label ~total ~progress f =
+  if not progress then f None
   else begin
-    let hb =
-      match heartbeat_out with
-      | None -> None
-      | Some path -> (
-        try Some (open_out_gen [ Open_append; Open_creat ] 0o644 path)
-        with Sys_error msg ->
-          Printf.eprintf "mapqn: cannot open heartbeat file: %s\n" msg;
-          exit 1)
-    in
-    let p =
-      Mapqn_obs.Progress.create ?heartbeat:hb ~quiet:(not progress) ~total label
-    in
+    let p = Mapqn_obs.Progress.create ~total label in
     Fun.protect
       (fun () -> f (Some p))
-      ~finally:(fun () ->
-        Mapqn_obs.Progress.close p;
-        Option.iter close_out hb)
+      ~finally:(fun () -> Mapqn_obs.Progress.close p)
   end
 
 let fig1_cmd =
@@ -523,7 +506,7 @@ let fig3_cmd =
     Term.(const run $ verbose_arg $ scale_arg $ obs_args)
 
 let fig4_cmd =
-  let run verbose paper_scale progress heartbeat_out obs =
+  let run verbose paper_scale progress obs =
     setup_logs verbose;
     with_telemetry "fig4" obs @@ fun () ->
     let options =
@@ -532,18 +515,17 @@ let fig4_cmd =
     in
     with_progress ~label:"fig4"
       ~total:(List.length options.Mapqn_experiments.Fig4.populations)
-      ~progress ~heartbeat_out
+      ~progress
     @@ fun p ->
     Mapqn_experiments.Fig4.print (Mapqn_experiments.Fig4.run ~options ?progress:p ())
   in
   Cmd.v
     (Cmd.info "fig4" ~doc:"Figure 4: decomposition and ABA failure on the tandem")
     Term.(
-      const run $ verbose_arg $ scale_arg $ progress_arg $ heartbeat_out_arg
-      $ obs_args)
+      const run $ verbose_arg $ scale_arg $ progress_arg $ obs_args)
 
 let fig8_cmd =
-  let run verbose paper_scale progress heartbeat_out obs =
+  let run verbose paper_scale progress obs =
     setup_logs verbose;
     with_telemetry "fig8" obs @@ fun () ->
     let options =
@@ -552,7 +534,7 @@ let fig8_cmd =
     in
     with_progress ~label:"fig8"
       ~total:(List.length options.Mapqn_experiments.Fig8.populations)
-      ~progress ~heartbeat_out
+      ~progress
     @@ fun p ->
     let t = Mapqn_experiments.Fig8.run ~options ?progress:p () in
     Mapqn_experiments.Fig8.print t;
@@ -562,14 +544,14 @@ let fig8_cmd =
   Cmd.v
     (Cmd.info "fig8" ~doc:"Figure 8: case-study bounds vs exact")
     Term.(
-      const run $ verbose_arg $ scale_arg $ progress_arg $ heartbeat_out_arg
-      $ obs_args)
+      const run $ verbose_arg $ scale_arg $ progress_arg $ obs_args)
 
 let resume_from_arg =
   let doc =
-    "Skip models recorded as done in the heartbeat JSONL file $(docv) (from \
-     an earlier run's $(b,--heartbeat-out)); the summary statistics then \
-     cover only the models evaluated this run."
+    "Skip models recorded as done in the run ledger $(docv) (from an \
+     earlier run's $(b,--ledger-out); pass the same file to both to resume \
+     in place); the summary statistics then cover only the models \
+     evaluated this run."
   in
   Arg.(value & opt (some string) None & info [ "resume-from" ] ~docv:"FILE" ~doc)
 
@@ -592,7 +574,7 @@ let resume_skip ?(require_certified = false) ~label resume_from =
   match resume_from with
   | None -> fun _ -> false
   | Some path ->
-    let done_ = Mapqn_obs.Progress.load_completed ~require_certified path in
+    let done_ = Mapqn_obs.Ledger.completed ~require_certified path in
     if done_ = [] then
       Printf.eprintf "%s: no completed models in %s, running all\n%!" label path
     else
@@ -606,7 +588,7 @@ let table1_cmd =
   let models_arg =
     Arg.(value & opt (some int) None & info [ "models" ] ~doc:"Number of random models.")
   in
-  let run verbose paper_scale models jobs progress heartbeat_out resume_from obs =
+  let run verbose paper_scale models jobs progress resume_from obs =
     setup_logs verbose;
     with_telemetry "table1" obs @@ fun () ->
     let options =
@@ -623,7 +605,7 @@ let table1_cmd =
     in
     let skip = resume_skip ~label:"table1" resume_from in
     with_progress ~label:"table1" ~total:options.Mapqn_experiments.Table1.models
-      ~progress ~heartbeat_out
+      ~progress
     @@ fun p ->
     Mapqn_experiments.Table1.print
       (Mapqn_experiments.Table1.run ~options ?progress:p ~skip ())
@@ -632,7 +614,7 @@ let table1_cmd =
     (Cmd.info "table1" ~doc:"Table 1: bound accuracy on random models")
     Term.(
       const run $ verbose_arg $ scale_arg $ models_arg $ jobs_arg $ progress_arg
-      $ heartbeat_out_arg $ resume_from_arg $ obs_args)
+      $ resume_from_arg $ obs_args)
 
 (* Population grids for mapqn fleet: comma-separated items, each an
    integer or an inclusive "lo..hi" range ("1..100", "1,2,4,8",
@@ -707,14 +689,14 @@ let fleet_cmd =
   let accept_uncertified_arg =
     let doc =
       "Keep a model whose certificate rescue ladder is exhausted, reporting \
-       its best uncertified bounds, instead of failing it. Its checkpoint \
-       entry is stamped $(b,\"certified\": false), so a later \
-       $(b,--resume-from) of the heartbeat file still retries it."
+       its best uncertified bounds, instead of failing it. Its ledger \
+       $(b,done) record is stamped $(b,\"certified\": false), so a later \
+       $(b,--resume-from) of the ledger still retries it."
     in
     Arg.(value & flag & info [ "accept-uncertified" ] ~doc)
   in
   let run verbose models stations map_stations populations jobs seed config
-      exact_upto accept_uncertified out progress heartbeat_out resume_from obs =
+      exact_upto accept_uncertified out progress resume_from obs =
     setup_logs verbose;
     with_telemetry "fleet" obs @@ fun () ->
     let populations =
@@ -780,7 +762,7 @@ let fleet_cmd =
     Fun.protect
       ~finally:(fun () -> Option.iter close_out sink_oc)
       (fun () ->
-        with_progress ~label:"fleet" ~total:models ~progress ~heartbeat_out
+        with_progress ~label:"fleet" ~total:models ~progress
         @@ fun p ->
         let t =
           Mapqn_experiments.Fleet_sweep.run ~options ?progress:p ~skip ?sink ()
@@ -796,8 +778,8 @@ let fleet_cmd =
     Term.(
       const run $ verbose_arg $ models_arg $ stations_arg $ map_stations_arg
       $ populations_arg $ jobs_arg $ seed_arg $ config_arg $ exact_upto_arg
-      $ accept_uncertified_arg $ out_arg $ progress_arg $ heartbeat_out_arg
-      $ resume_from_arg $ obs_args)
+      $ accept_uncertified_arg $ out_arg $ progress_arg $ resume_from_arg
+      $ obs_args)
 
 let pipeline_cmd =
   let run verbose paper_scale obs =
@@ -888,7 +870,7 @@ let profile_cmd =
     in
     Mapqn_obs.Metrics.reset ();
     Mapqn_obs.Span.reset ();
-    Mapqn_obs.Prof.enable ();
+    Mapqn_obs.Span.enable_profiling ();
     let wall0 = Mapqn_obs.Span.now () in
     (* Everything measurable happens inside the root span, so Σ self over
        all paths telescopes to (approximately) the measured wall time. *)
@@ -918,21 +900,22 @@ let profile_cmd =
          in
          ignore (Mapqn_core.Bounds.eval b metrics)));
     let wall = Mapqn_obs.Span.now () -. wall0 in
-    Mapqn_obs.Prof.disable ();
-    let rows = Mapqn_obs.Prof.attribution () in
-    let self = Mapqn_obs.Prof.self_total rows in
+    Mapqn_obs.Span.disable_profiling ();
+    let rows = Mapqn_obs.Span.attribution () in
+    let self = Mapqn_obs.Span.self_total rows in
     let coverage = if wall > 0. then self /. wall else 1. in
     Printf.printf "profile %s: population %d, %d phases\n" name population
       (List.length rows);
-    print_string (Mapqn_obs.Prof.render_table ~limit:top rows);
+    print_string (Mapqn_obs.Export.attribution_table ~limit:top rows);
     Printf.printf "phase self-times sum to %.4fs of %.4fs wall (%.1f%% coverage)\n"
       self wall (100. *. coverage);
     Option.iter
       (fun path ->
-        Mapqn_obs.Export.write_file path (Mapqn_obs.Prof.render_table rows))
+        Mapqn_obs.Export.write_file path
+          (Mapqn_obs.Export.attribution_table rows))
       table_out;
     Option.iter
-      (fun path -> Mapqn_obs.Export.write_file path (Mapqn_obs.Prof.folded ()))
+      (fun path -> Mapqn_obs.Export.write_file path (Mapqn_obs.Span.folded ()))
       folded_out;
     (* Same --metrics-out/--metrics-format contract as every other
        subcommand: the registry and span snapshot of the profiled run. *)
@@ -962,131 +945,6 @@ let profile_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
-(* stats                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let stats_cmd =
-  let run verbose model population scv gamma2 config solver obs =
-    setup_logs verbose;
-    (* Solve the model through both pipelines (LP bounds and exact CTMC)
-       so the telemetry covers the simplex, the constraint generator and
-       the state-space layers in a single report. *)
-    Mapqn_obs.Metrics.reset ();
-    Mapqn_obs.Span.reset ();
-    start_trace obs;
-    start_ledger obs;
-    let net = build_model model ~population ~scv ~gamma2 in
-    let summary =
-      Fun.protect ~finally:(fun () ->
-          finish_trace obs;
-          finish_ledger ())
-      @@ fun () ->
-      Mapqn_obs.Span.with_ "stats.solve" @@ fun () ->
-      let bound =
-        match Mapqn_core.Bounds.create ~solver ~config net with
-        | Error e ->
-          Printf.sprintf "bounds: %s" (Mapqn_core.Bounds.error_to_string e)
-        | Ok b ->
-          let r = Mapqn_core.Bounds.response_time b in
-          let vars, rows = Mapqn_core.Bounds.lp_size b in
-          Printf.sprintf "bounds: LP %d vars x %d rows, response time in [%.6f, %.6f]"
-            vars rows r.Mapqn_core.Bounds.lower r.Mapqn_core.Bounds.upper
-      in
-      let sol = Mapqn_ctmc.Solution.solve ~max_states:3_000_000 net in
-      Printf.sprintf "%s\nexact: response time %.6f" bound
-        (Mapqn_ctmc.Solution.system_response_time sol)
-    in
-    let telemetry = render_telemetry obs.metrics_format in
-    match obs.metrics_out with
-    | Some path ->
-      (* Telemetry goes to the file; the human summary to stdout. *)
-      write_metrics path telemetry;
-      print_endline summary
-    | None ->
-      (* No file: telemetry is the stdout payload. Keep machine-readable
-         formats clean — only the table format gets the summary header. *)
-      if obs.metrics_format = Mapqn_obs.Export.Table then begin
-        print_endline summary;
-        print_newline ()
-      end;
-      print_string telemetry
-  in
-  let term =
-    Term.(
-      const run $ verbose_arg $ model_arg $ population_arg $ scv_arg $ gamma2_arg
-      $ config_arg $ solver_arg $ obs_args)
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Solve a built-in model (LP bounds + exact CTMC) and print the full \
-          solver telemetry: simplex pivots, constraint rows, CTMC size, \
-          timing spans")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* trace                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let trace_cmd =
-  let out_arg =
-    let doc =
-      "Write the event journal to $(docv); $(b,-) (the default) writes to \
-       standard output."
-    in
-    Arg.(value & opt string "-" & info [ "trace-out" ] ~docv:"FILE" ~doc)
-  in
-  let run verbose model population scv gamma2 config solver out fmt capacity =
-    setup_logs verbose;
-    Mapqn_obs.Trace.enable ~capacity ();
-    Fun.protect ~finally:Mapqn_obs.Trace.disable @@ fun () ->
-    let net = build_model model ~population ~scv ~gamma2 in
-    Mapqn_obs.Trace.record
-      (Mapqn_obs.Trace.Mark { name = "trace.start"; detail = "bounds eval" });
-    (match Mapqn_core.Bounds.create ~solver ~config net with
-    | Error e ->
-      Printf.eprintf "trace: %s\n" (Mapqn_core.Bounds.error_to_string e);
-      exit 1
-    | Ok b ->
-      let m = Mapqn_model.Network.num_stations net in
-      let metrics =
-        List.concat
-          (List.init m (fun k ->
-               [
-                 Mapqn_core.Bounds.Utilization k;
-                 Mapqn_core.Bounds.Throughput k;
-                 Mapqn_core.Bounds.Mean_queue_length k;
-               ]))
-        @ [ Mapqn_core.Bounds.Response_time { reference = 0 } ]
-      in
-      ignore (Mapqn_core.Bounds.eval b metrics));
-    Mapqn_obs.Trace.record
-      (Mapqn_obs.Trace.Mark { name = "trace.stop"; detail = "bounds eval" });
-    match Mapqn_obs.Trace.current () with
-    | None -> ()
-    | Some t ->
-      (try Mapqn_obs.Trace.write fmt ~path:out t
-       with Sys_error msg ->
-         Printf.eprintf "trace: cannot write trace: %s\n" msg;
-         exit 1);
-      Printf.eprintf "trace: %d events emitted, %d retained, %d dropped\n"
-        (Mapqn_obs.Trace.emitted t) (Mapqn_obs.Trace.retained t)
-        (Mapqn_obs.Trace.dropped t)
-  in
-  let term =
-    Term.(
-      const run $ verbose_arg $ model_arg $ population_arg $ scv_arg $ gamma2_arg
-      $ config_arg $ solver_arg $ out_arg $ trace_format_arg $ trace_capacity_arg)
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a full LP bound evaluation with iteration-level tracing on and \
-          dump the event journal (per-pivot simplex events, bound \
-          certificates) as JSONL or a Perfetto-loadable Chrome trace")
-    term
-
-(* ------------------------------------------------------------------ *)
 (* ledger / doctor                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1104,7 +962,7 @@ let load_ledger path =
 let event_filter_arg =
   let doc =
     "Only consider records of this event type ($(b,eval), $(b,sweep_step), \
-     $(b,sim))."
+     $(b,sim), or a fleet task's $(b,done) and $(b,skip))."
   in
   Arg.(value & opt (some string) None & info [ "event" ] ~docv:"EVENT" ~doc)
 
@@ -1211,8 +1069,6 @@ let () =
             pipeline_cmd;
             moment_order_cmd;
             profile_cmd;
-            stats_cmd;
-            trace_cmd;
             ledger_cmd;
             doctor_cmd;
           ]))

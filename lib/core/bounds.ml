@@ -1054,32 +1054,27 @@ module Sweep = struct
       pivots = s.done_pivots + cur_p;
     }
 
-  let run ?progress ?seed ?skip ?(label = Printf.sprintf "N=%d") s ~populations
-      ~f =
-    List.filter_map
+  let run ?progress ?(label = Printf.sprintf "N=%d") s ~populations ~f =
+    List.map
       (fun population ->
-        let lbl = label population in
-        match skip with
-        | Some should_skip when should_skip lbl ->
-          Option.iter (fun p -> Mapqn_obs.Progress.skip p ?seed lbl) progress;
-          None
-        | _ ->
-          Option.iter (fun p -> Mapqn_obs.Progress.start p ?seed lbl) progress;
-          let phase name =
-            Option.iter (fun p -> Mapqn_obs.Progress.phase p name) progress
-          in
-          let memo = ref None in
-          let bounds () =
-            match !memo with
-            | Some b -> b
-            | None ->
-              phase "bounds";
-              let b = step_exn s population in
-              memo := Some b;
-              b
-          in
-          let result = f ~phase ~bounds population in
-          Option.iter Mapqn_obs.Progress.finish progress;
-          Some (population, result))
+        Option.iter
+          (fun p -> Mapqn_obs.Progress.start p (label population))
+          progress;
+        let phase name =
+          Option.iter (fun p -> Mapqn_obs.Progress.phase p name) progress
+        in
+        let memo = ref None in
+        let bounds () =
+          match !memo with
+          | Some b -> b
+          | None ->
+            phase "bounds";
+            let b = step_exn s population in
+            memo := Some b;
+            b
+        in
+        let result = f ~phase ~bounds population in
+        Option.iter Mapqn_obs.Progress.finish progress;
+        (population, result))
       populations
 end

@@ -267,8 +267,6 @@ module Sweep : sig
 
   val run :
     ?progress:Mapqn_obs.Progress.t ->
-    ?seed:int ->
-    ?skip:(string -> bool) ->
     ?label:(int -> string) ->
     t ->
     populations:int list ->
@@ -277,10 +275,8 @@ module Sweep : sig
   (** Drive a whole sweep, folding in the progress wiring the
       experiment runners used to duplicate: one progress model per
       population (id [label population], default ["N=<n>"]), [phase]
-      forwarding, skip/resume support ([skip id] consults e.g.
-      {!Mapqn_obs.Progress.load_completed} ids and skipped populations
-      are reported and omitted from the result), and lazy stepping —
-      [f]'s [bounds] thunk runs {!step_exn} under a ["bounds"] phase on
-      first use, so [f] chooses where in its phase sequence the LP work
-      happens. Returns [(population, f result)] in sweep order. *)
+      forwarding, and lazy stepping — [f]'s [bounds] thunk runs
+      {!step_exn} under a ["bounds"] phase on first use, so [f] chooses
+      where in its phase sequence the LP work happens. Returns
+      [(population, f result)] in sweep order. *)
 end

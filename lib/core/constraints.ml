@@ -150,7 +150,7 @@ let add_balance ctx =
      into LP rows — the two candidate targets of the planned
      constraint-assembly optimization. Accumulate locally and record
      two [Span.add]s at the end so the unprofiled path is untouched. *)
-  let prof = Mapqn_obs.Prof.is_enabled () in
+  let prof = Mapqn_obs.Span.is_profiling () in
   let emit_t = ref 0. in
   let asm_t = ref 0. in
   let rows = ref 0 in
@@ -158,15 +158,15 @@ let add_balance ctx =
     for n = 0 to ctx.n do
       Ms.iter_phases ctx.ms (fun h ->
           if prof then begin
-            let t0 = Mapqn_obs.Prof.now () in
+            let t0 = Mapqn_obs.Span.now () in
             let terms = balance_row ctx ~k ~n ~h in
-            let t1 = Mapqn_obs.Prof.now () in
+            let t1 = Mapqn_obs.Span.now () in
             emit_t := !emit_t +. (t1 -. t0);
             if terms <> [] then begin
               Lp.add_row ~name:(Printf.sprintf "bal[k=%d,n=%d,h=%d]" k n h)
                 ctx.model terms Lp.Eq 0.;
               incr rows;
-              asm_t := !asm_t +. (Mapqn_obs.Prof.now () -. t1)
+              asm_t := !asm_t +. (Mapqn_obs.Span.now () -. t1)
             end
           end
           else

@@ -200,7 +200,7 @@ let run ?(options = default_options) ?progress ?(skip = fun _ -> false) ?sink
      fleet scale a handful of numerically hard random models (an LP
      certificate beyond tolerance at a large population) must not cost
      the summary of the other ten thousand. Failures are reported — and,
-     emitting no "done" heartbeat, retried by a resumed run. *)
+     recording no ledger "done", retried by a resumed run. *)
   let failed =
     Array.to_list outcomes
     |> List.mapi (fun index o -> (index, o))

@@ -10,8 +10,8 @@
     Determinism, checkpointing and per-model seeds follow
     {!Table1.run}: models are generated sequentially from [seed], each
     model evaluates under a run context seeded with
-    [Fleet.task_seed ~seed index], and a progress reporter's heartbeat
-    file doubles as the resume checkpoint. *)
+    [Fleet.task_seed ~seed index], and the run ledger's per-model
+    ["done"] records are the resume checkpoint. *)
 
 type options = {
   spec : Mapqn_workloads.Random_models.spec;
@@ -26,7 +26,7 @@ type options = {
   accept_uncertified : bool;
       (** let a model whose rescue ladder is exhausted keep its best
           uncertified bounds instead of failing — its row is flagged
-          ([uncertified]) and its checkpoint entry is stamped so a
+          ([uncertified]) and its ledger ["done"] record is stamped so a
           resumed run retries it. Default [false]: an exhausted ladder
           fails the model. *)
 }
@@ -63,8 +63,8 @@ type t = {
   failed : (string * exn) list;
       (** (model id, error) per failed model, index order. A failure —
           typically an LP certificate beyond tolerance on a numerically
-          hard random model — does not abort the fleet; the model emits
-          no checkpoint entry, so a resumed run retries exactly it. *)
+          hard random model — does not abort the fleet; the model records
+          no ledger ["done"], so a resumed run retries exactly it. *)
   wall_s : float;
   width_stats : float * float * float * float;
       (** (mean, std, median, max) of the relative response-time bound

@@ -42,8 +42,8 @@ let model_id index = Printf.sprintf "model-%04d" index
 
 (* Progress start/done events are the fleet runner's job (it knows the
    per-task seed and wall time); the model body only reports phases,
-   with its id explicit so concurrent workers' phase heartbeats cannot
-   be attributed to each other's models. *)
+   with its id explicit so concurrent workers' phases cannot be
+   attributed to each other's models. *)
 let evaluate_model ?progress options index (model : Random_models.model) =
   let report f = Option.iter f progress in
   let id = model_id index in
@@ -91,7 +91,7 @@ let run ?(options = default_options) ?progress ?(skip = fun _ -> false) () =
      seconds of LP work, and one sequential PRNG stream keeps the model
      set — hence every per-model result — bit-identical across [jobs]
      values AND to the historical sequential runs. Skipping a model by
-     id (e.g. one a previous run's heartbeat file marks done) likewise
+     id (e.g. one a previous run's ledger marks done) likewise
      leaves the remaining models identical to a full run. *)
   let models =
     Array.of_list

@@ -53,8 +53,8 @@ val run :
 (** [progress], when given, receives one model per random network (id
     ["model-NNNN"], one phase per population). [skip id] (default
     never) excludes a model from evaluation — model generation is
-    deterministic in [seed], so ids from a previous run's heartbeat file
-    ({!Mapqn_obs.Progress.load_completed}) resume a partial sweep; the
+    deterministic in [seed], so ids from a previous run's ledger
+    ({!Mapqn_obs.Ledger.completed}) resume a partial sweep; the
     summary statistics then cover only the evaluated models.
 
     With [options.jobs > 1] the models are evaluated by a

@@ -11,12 +11,13 @@
    Determinism contract: with a deterministic task function, the result
    array, each task's run-context seed, and each task's ledger record
    contents are identical for every [jobs] value — only the order in
-   which ledger/heartbeat lines hit the file varies (both are
-   record-atomic behind their own locks). *)
+   which ledger lines hit the file varies (records are atomic behind
+   the ledger's lock). *)
 
 module Rng = Mapqn_prng.Rng
 module Run_ctx = Mapqn_obs.Run_ctx
 module Progress = Mapqn_obs.Progress
+module Ledger = Mapqn_obs.Ledger
 module Json = Mapqn_obs.Json
 module Span = Mapqn_obs.Span
 
@@ -153,31 +154,39 @@ let run_tasks ?jobs ?(chunk = 1) ?progress ?(skip = fun _ -> false)
   let task index () =
     let id = ids index in
     if skip id then begin
-      report (fun p -> Progress.skip p ~seed id);
+      (* Named so that a resume of this run's ledger skips it too. *)
+      Ledger.record ~event:"skip" [ ("model", Json.String id) ];
+      report Progress.skip;
       Skipped
     end
     else begin
-      let task_seed = task_seed ~seed index in
       let ctx =
-        Run_ctx.create ~seed:task_seed
+        Run_ctx.create ~seed:(task_seed ~seed index)
           ~context:[ ("model", Json.String id) ]
           ()
       in
-      report (fun p -> Progress.task_start p ~seed:task_seed id);
+      report (fun p -> Progress.task_start p id);
       let t0 = Span.now () in
-      match Run_ctx.with_ ctx (fun () -> f index) with
-      | v ->
-        (* A result the classifier deems uncertified still completes the
-           run, but its "done" heartbeat is stamped so a resumed run
-           retries the task (Progress.load_completed
-           ~require_certified). *)
-        report (fun p ->
-            Progress.task_done p ~seed:task_seed
-              ~elapsed:(Span.now () -. t0)
-              ~certified:(certified v) id);
+      let run () =
+        let v = f index in
+        let dt = Span.now () -. t0 in
+        (* The resume checkpoint. The context overlay names the model
+           and its derived seed; a result the classifier deems
+           uncertified still completes the run, but a resume with
+           [Ledger.completed ~require_certified] retries it. *)
+        Ledger.record ~event:"done"
+          [
+            ("certified", Json.Bool (certified v));
+            ("duration_s", Json.Number dt);
+          ];
+        (v, dt)
+      in
+      match Run_ctx.with_ ctx run with
+      | v, dt ->
+        report (fun p -> Progress.task_done p ~elapsed:dt id);
         Done v
       | exception e ->
-        (* No "done" heartbeat: a resumed run must retry this task. *)
+        (* No "done" record: a resumed run must retry this task. *)
         Failed e
     end
   in

@@ -85,15 +85,20 @@ val run_tasks :
     whose ledger overlay carries [("model", ids index)] — concurrent
     workers' ledger records each name their own model and derived seed.
 
-    [skip id] excludes a task (reported to [progress] as skipped, like a
-    resume). Progress uses the explicit-id
-    {!Mapqn_obs.Progress.task_start}/[task_done] events; a failed task
-    emits no ["done"] heartbeat, so a resumed run retries it.
-    [certified v] (default always [true]) classifies a completed task's
-    result: when [false], the ["done"] heartbeat is stamped
-    ["certified": false], so a resume that loads the checkpoint with
-    [Progress.load_completed ~require_certified:true] retries the task
-    just like a failure. The result array is in task order regardless of
+    Each completed task appends a ledger ["done"] record (written
+    inside its run context, so it names the model and derived seed)
+    carrying ["certified"] and its wall time under ["duration_s"]; each
+    skipped task appends a ["skip"] record naming its ["model"]. Both
+    are no-ops without a ledger sink, and {!Mapqn_obs.Ledger.completed}
+    reads them back as the resume checkpoint. A failed task records no
+    ["done"], so a resumed run retries it. [certified v] (default
+    always [true]) classifies a completed task's result; a resume with
+    [Ledger.completed ~require_certified:true] retries a task recorded
+    ["certified": false] just like a failure.
+
+    [skip id] excludes a task (e.g. one the checkpoint marks done).
+    [progress] receives {!Mapqn_obs.Progress.task_start}/[task_done]
+    and [skip] events. The result array is in task order regardless of
     scheduling. *)
 
 val first_failure : 'a outcome array -> exn option

@@ -3,7 +3,6 @@ let log_src = Logs.Src.create "mapqn.revised" ~doc:"revised simplex"
 module Log = (val Logs.src_log log_src)
 module Metrics = Mapqn_obs.Metrics
 module Span = Mapqn_obs.Span
-module Prof = Mapqn_obs.Prof
 module Trace = Mapqn_obs.Trace
 module Health = Mapqn_obs.Health
 module Csr = Mapqn_sparse.Csr
@@ -459,7 +458,7 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
      one [Span.add] per phase after the loop; the clock reads (which
      box floats) are skipped entirely when profiling is off, keeping
      the disabled pivot path allocation-free. *)
-  let prof = Prof.is_enabled () in
+  let prof = Span.is_profiling () in
   let price_t = ref 0. in
   let ratio_t = ref 0. in
   let update_t = ref 0. in
@@ -468,25 +467,25 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
   while !result = None do
     if !iter >= max_iter then result := Some R_limit
     else begin
-      let t0 = if prof then Prof.now () else 0. in
+      let t0 = if prof then Span.now () else 0. in
       (* Duals of the current basis: y = B⁻ᵀ c_B. *)
       for i = 0 to t.m - 1 do
         y.(i) <- cost_of t.basis.(i)
       done;
       btran_apply t y;
       let q = price t y ~cost_of ~bland:!bland in
-      let t1 = if prof then Prof.now () else 0. in
+      let t1 = if prof then Span.now () else 0. in
       if prof then price_t := !price_t +. (t1 -. t0);
       if q < 0 then result := Some R_optimal
       else begin
         ftran_col t q w;
-        let t2 = if prof then Prof.now () else 0. in
+        let t2 = if prof then Span.now () else 0. in
         if prof then update_t := !update_t +. (t2 -. t1);
         let r = ratio_test t w ~bland:!bland in
-        if prof then ratio_t := !ratio_t +. (Prof.now () -. t2);
+        if prof then ratio_t := !ratio_t +. (Span.now () -. t2);
         if r < 0 then result := Some R_unbounded
         else begin
-          let t3 = if prof then Prof.now () else 0. in
+          let t3 = if prof then Span.now () else 0. in
           (* Stability trigger: accepting a pivot much smaller than its
              column's largest entry writes multipliers of magnitude
              colmax/|w_r| into the eta file; schedule a reinversion right
@@ -514,7 +513,7 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
           t.in_basis.(q) <- true;
           t.basis.(r) <- q;
           (match eta_of_pivot w r t.m with Some e -> push_eta t e | None -> ());
-          if prof then update_t := !update_t +. (Prof.now () -. t3);
+          if prof then update_t := !update_t +. (Span.now () -. t3);
           t.pivots_since_refactor <- t.pivots_since_refactor + 1;
           incr iter;
           let obj = ref 0. in
@@ -603,9 +602,9 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
           in
           if need_refactor then
             if prof then begin
-              let tf = Prof.now () in
+              let tf = Span.now () in
               refactor t;
-              factor_t := !factor_t +. (Prof.now () -. tf);
+              factor_t := !factor_t +. (Span.now () -. tf);
               incr factor_n
             end
             else refactor t;

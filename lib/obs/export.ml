@@ -17,9 +17,9 @@ let span_path path = String.concat "/" path
 (* Table                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimal column alignment; Mapqn_util.Table is not used because this
-   library sits below util in the dependency order (util itself may one
-   day be instrumented). *)
+(* Minimal column alignment, shared by every table this library prints;
+   Mapqn_util.Table is not used because this library sits below util in
+   the dependency order (util itself may one day be instrumented). *)
 let aligned rows =
   let widths =
     List.fold_left
@@ -140,71 +140,75 @@ let table ~metrics ~spans =
   end;
   Buffer.contents buf
 
+let words w =
+  if w = 0. then "0"
+  else if Float.abs w >= 1e9 then Printf.sprintf "%.2fG" (w /. 1e9)
+  else if Float.abs w >= 1e6 then Printf.sprintf "%.2fM" (w /. 1e6)
+  else if Float.abs w >= 1e3 then Printf.sprintf "%.1fk" (w /. 1e3)
+  else Printf.sprintf "%.0f" w
+
+let attribution_table ?limit rows =
+  let shown, hidden =
+    match limit with
+    | Some n when n >= 0 && List.length rows > n ->
+      (List.filteri (fun i _ -> i < n) rows, List.length rows - n)
+    | _ -> (rows, 0)
+  in
+  let cells =
+    [ "phase"; "count"; "total"; "self"; "max"; "minor words" ]
+    :: List.map
+         (fun (r : Span.row) ->
+           [
+             span_path r.Span.path;
+             string_of_int r.Span.count;
+             Printf.sprintf "%.4fs" r.Span.total;
+             Printf.sprintf "%.4fs" r.Span.self;
+             Printf.sprintf "%.4fs" r.Span.max_;
+             words r.Span.minor_words;
+           ])
+         shown
+  in
+  let table = aligned cells in
+  if hidden = 0 then table
+  else Printf.sprintf "%s(+ %d more phases)\n" table hidden
+
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-
-let json_num v =
-  if Float.is_finite v then
-    if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-    else Printf.sprintf "%.12g" v
-  else "null"
-
 let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> json_str k ^ ":" ^ json_str v) labels)
-  ^ "}"
+  Json.Object (List.map (fun (k, v) -> (k, Json.String v)) labels)
 
 let json_metric (s : Metrics.sample) =
-  let base =
-    [
-      ("name", json_str s.Metrics.name);
-      ("labels", json_labels s.Metrics.labels);
-    ]
-  in
   let rest =
     match s.Metrics.value with
-    | Metrics.Counter c -> [ ("type", json_str "counter"); ("value", json_num c) ]
-    | Metrics.Gauge g -> [ ("type", json_str "gauge"); ("value", json_num g) ]
+    | Metrics.Counter c ->
+      [ ("type", Json.String "counter"); ("value", Json.Number c) ]
+    | Metrics.Gauge g ->
+      [ ("type", Json.String "gauge"); ("value", Json.Number g) ]
     | Metrics.Histogram h ->
       [
-        ("type", json_str "histogram");
-        ("count", string_of_int h.Metrics.count);
-        ("sum", json_num h.Metrics.sum);
+        ("type", Json.String "histogram");
+        ("count", Json.Number (float_of_int h.Metrics.count));
+        ("sum", Json.Number h.Metrics.sum);
         ( "buckets",
-          "["
-          ^ String.concat ","
-              (List.map
-                 (fun (le, n) ->
-                   Printf.sprintf "{\"le\":%s,\"count\":%d}"
-                     (if Float.is_finite le then json_num le else "\"+Inf\"")
-                     n)
-                 (Array.to_list h.Metrics.buckets))
-          ^ "]" )
+          Json.List
+            (List.map
+               (fun (le, n) ->
+                 Json.Object
+                   [
+                     ( "le",
+                       if Float.is_finite le then Json.Number le
+                       else Json.String "+Inf" );
+                     ("count", Json.Number (float_of_int n));
+                   ])
+               (Array.to_list h.Metrics.buckets)) );
       ]
   in
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> json_str k ^ ":" ^ v) (base @ rest))
-  ^ "}"
+  Json.Object
+    (("name", Json.String s.Metrics.name)
+    :: ("labels", json_labels s.Metrics.labels)
+    :: rest)
 
 let json_span (e : Span.entry) =
   (* GC fields are emitted only when profiling recorded them, keeping
@@ -214,38 +218,41 @@ let json_span (e : Span.entry) =
       e.Span.minor_words = 0. && e.Span.major_words = 0.
       && e.Span.promoted_words = 0.
       && e.Span.compactions = 0
-    then ""
+    then []
     else
-      Printf.sprintf
-        ",\"minor_words\":%s,\"major_words\":%s,\"promoted_words\":%s,\"compactions\":%d"
-        (json_num e.Span.minor_words)
-        (json_num e.Span.major_words)
-        (json_num e.Span.promoted_words)
-        e.Span.compactions
+      [
+        ("minor_words", Json.Number e.Span.minor_words);
+        ("major_words", Json.Number e.Span.major_words);
+        ("promoted_words", Json.Number e.Span.promoted_words);
+        ("compactions", Json.Number (float_of_int e.Span.compactions));
+      ]
   in
-  Printf.sprintf "{\"path\":%s,\"count\":%d,\"total_seconds\":%s,\"max_seconds\":%s%s}"
-    (json_str (span_path e.Span.path))
-    e.Span.count
-    (json_num e.Span.total)
-    (json_num e.Span.max_)
-    gc
+  Json.Object
+    ([
+       ("path", Json.String (span_path e.Span.path));
+       ("count", Json.Number (float_of_int e.Span.count));
+       ("total_seconds", Json.Number e.Span.total);
+       ("max_seconds", Json.Number e.Span.max_);
+     ]
+    @ gc)
 
 let json ~metrics ~spans =
-  Printf.sprintf "{\"metrics\":[%s],\"spans\":[%s]}\n"
-    (String.concat "," (List.map json_metric metrics))
-    (String.concat "," (List.map json_span spans))
+  Json.to_string
+    (Json.Object
+       [
+         ("metrics", Json.List (List.map json_metric metrics));
+         ("spans", Json.List (List.map json_span spans));
+       ])
+  ^ "\n"
 
 let json_lines ~metrics ~spans =
-  let buf = Buffer.create 2048 in
-  List.iter
-    (fun m ->
-      Buffer.add_string buf ("{\"kind\":\"metric\",\"metric\":" ^ json_metric m ^ "}\n"))
-    metrics;
-  List.iter
-    (fun s ->
-      Buffer.add_string buf ("{\"kind\":\"span\",\"span\":" ^ json_span s ^ "}\n"))
-    spans;
-  Buffer.contents buf
+  let line kind v =
+    Json.to_string (Json.Object [ ("kind", Json.String kind); (kind, v) ])
+    ^ "\n"
+  in
+  String.concat ""
+    (List.map (fun m -> line "metric" (json_metric m)) metrics
+    @ List.map (fun s -> line "span" (json_span s)) spans)
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus                                                          *)
@@ -266,7 +273,7 @@ let prom_labels = function
   | labels ->
     "{"
     ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (prom_sanitize k) (json_escape v)) labels)
+        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (prom_sanitize k) (Json.escape v)) labels)
     ^ "}"
 
 let prom_num v =

@@ -17,6 +17,15 @@ val table : metrics:Metrics.sample list -> spans:Span.entry list -> string
 (** Aligned human-readable tables: one for metrics, one for the span
     tree. Histograms additionally show estimated p50/p90/p99. *)
 
+val attribution_table : ?limit:int -> Span.row list -> string
+(** Human-readable {!Span.attribution} table (phase / count / total /
+    self / max / minor words). [limit] truncates to the first rows with
+    a "(+ n more phases)" footer. *)
+
+val aligned : string list list -> string
+(** Left-aligned columns separated by two spaces, one line per row; the
+    last column is not padded. Every table of this library uses it. *)
+
 val percentile : Metrics.histogram_data -> float -> float
 (** [percentile h q] estimates the [q]-quantile (0 ≤ q ≤ 1) of a
     histogram snapshot by linear interpolation over its cumulative

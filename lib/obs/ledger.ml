@@ -4,13 +4,14 @@
    preparation step, a simulator run) carrying provenance — git SHA,
    model fingerprint, PRNG seed, solver configuration — and outcome:
    bound values, pivot/refactorization deltas, the certificate residual
-   triple and the numerical-health snapshot ({!Health}).
+   triple and the numerical-health snapshot ({!Health}). A fleet run
+   adds one "done" or "skip" record per task.
 
    Records are written crash-safely: the file is opened in append mode
    and flushed after every record, so the ledger of a killed sweep is
-   intact up to the last completed unit and doubles as a checkpoint
-   (the reader skips a torn final line, mirroring
-   {!Progress.load_completed}).
+   intact up to the last completed unit and doubles as its checkpoint:
+   the reader skips a torn final line, and [completed] lists the fleet
+   tasks a resumed run may skip.
 
    On top of the stream sit two pure analyses the CLI surfaces:
    [diff] (bound-value and performance drift between two ledgers) and
@@ -194,7 +195,7 @@ let record ~event fields =
 
 (* Unparsable lines — a torn final line from a killed run, or stray
    output interleaved by mistake — are skipped, not errors: a ledger is
-   best-effort by design, exactly like the progress heartbeat file. *)
+   best-effort by design. *)
 let load path =
   if not (Sys.file_exists path) then []
   else begin
@@ -211,6 +212,37 @@ let load path =
     close_in_noerr ic;
     List.rev !records
   end
+
+(* The resume checkpoint: model ids of the fleet tasks recorded "done"
+   — or "skip", which a resumed run records for models it found already
+   done, so a chain of resumes keeps them — deduplicated, in file order.
+   Solver records ("eval", "sweep_step", ...) carry a "model" too but
+   never count.
+
+   [require_certified] drops "done" records carrying
+   ["certified": false] — models whose run ended on a
+   rescued-but-uncertified rung. A resumed run then retries them just
+   like outright failures (which record no "done" at all), so harvesting
+   with an accept-uncertified policy cannot silently pin partial
+   rescues. *)
+let completed ?(require_certified = false) path =
+  let seen = Hashtbl.create 16 in
+  List.filter_map
+    (fun r ->
+      match (Json.member "event" r, Json.member "model" r) with
+      | Some (Json.String (("done" | "skip") as ev)), Some (Json.String id)
+        when not (Hashtbl.mem seen id) ->
+        let uncertified =
+          require_certified && ev = "done"
+          && Json.member "certified" r = Some (Json.Bool false)
+        in
+        if uncertified then None
+        else begin
+          Hashtbl.add seen id ();
+          Some id
+        end
+      | _ -> None)
+    (load path)
 
 (* Field accessors over a record; all total. *)
 let str name r =
@@ -242,32 +274,6 @@ let event r = str "event" r
 (* Summaries (mapqn ledger FILE)                                       *)
 (* ------------------------------------------------------------------ *)
 
-let aligned rows =
-  let widths =
-    List.fold_left
-      (fun ws row ->
-        List.mapi
-          (fun i cell ->
-            let prev = try List.nth ws i with _ -> 0 in
-            max prev (String.length cell))
-          row)
-      [] rows
-  in
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun row ->
-      List.iteri
-        (fun i cell ->
-          if i > 0 then Buffer.add_string buf "  ";
-          Buffer.add_string buf cell;
-          if i < List.length row - 1 then
-            Buffer.add_string buf
-              (String.make (List.nth widths i - String.length cell) ' '))
-        row;
-      Buffer.add_char buf '\n')
-    rows;
-  Buffer.contents buf
-
 let summarize records =
   let row i r =
     let n = population r in
@@ -290,7 +296,7 @@ let summarize records =
       | sha -> String.sub sha 0 (min 8 (String.length sha)));
     ]
   in
-  aligned
+  Export.aligned
     ([ "#"; "event"; "N"; "solver"; "duration"; "pivots"; "primal res"; "commit" ]
     :: List.mapi row records)
 
@@ -407,7 +413,7 @@ let render_diff report =
            ])
          report.matched
   in
-  Buffer.add_string buf (aligned rows);
+  Buffer.add_string buf (Export.aligned rows);
   if report.only_a > 0 || report.only_b > 0 then
     Buffer.add_string buf
       (Printf.sprintf "unmatched records: %d only in A, %d only in B\n"
@@ -601,7 +607,7 @@ let doctor ?(tol_primal = 1e-5) ?(tol_dual = 1e-6) ?(tol_comp = 1e-6) records =
 let render_findings findings =
   if findings = [] then "doctor: no findings — ledger looks healthy\n"
   else
-    aligned
+    Export.aligned
       ([ "severity"; "code"; "where"; "detail" ]
       :: List.map
            (fun f ->

@@ -4,13 +4,14 @@
     a simulator run — carrying provenance (git SHA, model fingerprint,
     PRNG seed, solver configuration, warm/cold status) and outcome
     (bound values, pivot and refactorization deltas, phase timings, the
-    certificate residual triple, and the {!Health} snapshot).
+    certificate residual triple, and the {!Health} snapshot). A fleet
+    run adds one ["done"] or ["skip"] record per task.
 
     The stream is crash-safe: the file is opened in append mode and
     flushed after every record, so the ledger of a killed sweep is
-    intact up to the last completed unit and doubles as its checkpoint.
-    {!load} skips a torn final line, mirroring
-    [Progress.load_completed].
+    intact up to the last completed unit and doubles as its checkpoint:
+    {!load} skips a torn final line, and {!completed} lists the fleet
+    tasks a resumed run may skip.
 
     Like {!Trace}, the writer is a process-global switch: the
     instrumented layers call {!record} unconditionally and it is a
@@ -69,6 +70,16 @@ val record : event:string -> (string * Json.t) list -> unit
 val load : string -> Json.t list
 (** Parse a ledger file, skipping unparsable lines (notably the torn
     final line of a crashed run). A missing file is an empty ledger. *)
+
+val completed : ?require_certified:bool -> string -> string list
+(** The resume checkpoint: model ids named by ["done"] or ["skip"]
+    records (written per fleet task by [Fleet.run_tasks]),
+    deduplicated, in file order. Other records are ignored; a missing
+    file or unparsable lines yield no ids rather than an error.
+    [~require_certified:true] (default [false]) additionally drops
+    ["done"] records stamped ["certified": false], so a resumed fleet
+    run re-runs rescued-but-uncertified models exactly like failed
+    ones. *)
 
 val event : Json.t -> string
 (** The record's event name, [""] when absent. *)

@@ -1,18 +1,15 @@
 (* Sweep progress reporting for long experiment runs (Fig 4/8, Table 1):
-   per-model status with an ETA, a TTY-aware live status line, and JSONL
-   heartbeat records that double as a checkpoint/resume substrate — a
-   rerun can load the heartbeat file and skip models already marked
-   done.
+   per-model status with an ETA and a TTY-aware live status line. The
+   resume checkpoint is the run ledger's, not this module's.
 
-   One mutex guards all mutable state AND the console/heartbeat
-   rendering: fleet workers on different domains report through the same
-   reporter, and without the lock their heartbeats would interleave
-   mid-record and the TTY line would tear. The classic
+   One mutex guards all mutable state AND the console rendering: fleet
+   workers on different domains report through the same reporter, and
+   without the lock the TTY line would tear. The classic
    [start]/[phase]/[finish] lifecycle keys on an implicit "current"
    model and only suits one reporter per worker; concurrent workers use
    the [task_*] entry points, which carry the model id explicitly so a
-   "done" heartbeat can never be attributed to whichever model another
-   worker started last. *)
+   phase can never be attributed to whichever model another worker
+   started last. *)
 
 type t = {
   clock : unit -> float;
@@ -20,20 +17,18 @@ type t = {
   total : int;
   out : out_channel option;
   tty : bool;
-  heartbeat : out_channel option;
   t0 : float;
   lock : Mutex.t;
   mutable completed : int;
   mutable skipped : int;
   mutable current : string option;
-  mutable seed : int option;
   mutable phase : string option;
   mutable model_t0 : float;
   mutable live_len : int;
 }
 
-let create ?(clock = Span.now) ?(out = stderr) ?tty ?(quiet = false) ?heartbeat
-    ~total label =
+let create ?(clock = Span.now) ?(out = stderr) ?tty ?(quiet = false) ~total
+    label =
   let out = if quiet then None else Some out in
   let tty =
     match (tty, out) with
@@ -43,26 +38,17 @@ let create ?(clock = Span.now) ?(out = stderr) ?tty ?(quiet = false) ?heartbeat
       try Unix.isatty (Unix.descr_of_out_channel oc) with _ -> false)
   in
   let t0 = clock () in
-  (* A sweep killed mid-run (Ctrl-C, OOM, timeout) must keep its last
-     completed heartbeat records — --resume-from depends on them. Each
-     heartbeat already flushes, but an at_exit flush also covers records
-     buffered by any writer sharing the channel, and costs nothing. *)
-  (match heartbeat with
-  | Some oc -> at_exit (fun () -> try flush oc with _ -> ())
-  | None -> ());
   {
     clock;
     label;
     total = max 0 total;
     out;
     tty;
-    heartbeat;
     t0;
     lock = Mutex.create ();
     completed = 0;
     skipped = 0;
     current = None;
-    seed = None;
     phase = None;
     model_t0 = t0;
     live_len = 0;
@@ -98,39 +84,6 @@ let duration s =
 
 let eta_cell_u t =
   match eta_seconds_u t with None -> "" | Some s -> " eta " ^ duration s
-
-(* ------------------------------------------------------------------ *)
-(* Heartbeats (caller holds the lock)                                  *)
-(* ------------------------------------------------------------------ *)
-
-let heartbeat_u ?(extra = []) t ~event ~model ~seed ~phase ~elapsed:dt =
-  match t.heartbeat with
-  | None -> ()
-  | Some oc ->
-    let opt name f v = match v with None -> [] | Some v -> [ (name, f v) ] in
-    let record =
-      Json.Object
-        (("ts", Json.Number (elapsed_u t))
-        :: ("label", Json.String t.label)
-        :: ("event", Json.String event)
-        :: (opt "model" (fun m -> Json.String m) model
-           @ opt "seed" (fun s -> Json.Number (float_of_int s)) seed
-           @ opt "phase" (fun p -> Json.String p) phase
-           @ extra
-           @ [
-               ("elapsed", Json.Number (Float.max 0. dt));
-               ("completed", Json.Number (float_of_int t.completed));
-               ("total", Json.Number (float_of_int t.total));
-             ]))
-    in
-    output_string oc (Json.to_string record);
-    output_char oc '\n';
-    flush oc
-
-(* The implicit-current variant used by the sequential lifecycle. *)
-let heartbeat_cur_u t ~event =
-  heartbeat_u t ~event ~model:t.current ~seed:t.seed ~phase:t.phase
-    ~elapsed:(t.clock () -. t.model_t0)
 
 (* ------------------------------------------------------------------ *)
 (* Console output (caller holds the lock)                              *)
@@ -179,26 +132,22 @@ let println_u t msg =
 (* Sequential lifecycle (implicit current model)                       *)
 (* ------------------------------------------------------------------ *)
 
-let start t ?seed id =
+let start t id =
   locked t (fun () ->
       t.current <- Some id;
-      t.seed <- seed;
       t.phase <- None;
       t.model_t0 <- t.clock ();
-      heartbeat_cur_u t ~event:"start";
       redraw_u t)
 
 let phase t name =
   locked t (fun () ->
       t.phase <- Some name;
-      heartbeat_cur_u t ~event:"phase";
       redraw_u t)
 
 let finish t =
   locked t (fun () ->
       let dt = Float.max 0. (t.clock () -. t.model_t0) in
       t.completed <- t.completed + 1;
-      heartbeat_cur_u t ~event:"done";
       (match t.current with
       | Some id when not t.tty ->
         println_u t
@@ -209,46 +158,34 @@ let finish t =
       t.phase <- None;
       redraw_u t)
 
-let skip t ?seed id =
+let skip t =
   locked t (fun () ->
       t.completed <- t.completed + 1;
       t.skipped <- t.skipped + 1;
-      heartbeat_u t ~event:"skip" ~model:(Some id) ~seed ~phase:None ~elapsed:0.;
       redraw_u t)
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent lifecycle (explicit model ids, for fleet workers)        *)
 (* ------------------------------------------------------------------ *)
 
-let task_start t ?seed id =
+let task_start t id =
   locked t (fun () ->
       (* The live line shows the most recently started task — with
          several in flight there is no single "current" model, only a
          representative one. *)
       t.current <- Some id;
-      t.seed <- seed;
       t.phase <- None;
-      heartbeat_u t ~event:"start" ~model:(Some id) ~seed ~phase:None
-        ~elapsed:0.;
       redraw_u t)
 
 let task_phase t ~id name =
   locked t (fun () ->
-      (if t.current = Some id then t.phase <- Some name);
-      heartbeat_u t ~event:"phase" ~model:(Some id) ~seed:t.seed
-        ~phase:(Some name) ~elapsed:0.;
+      if t.current = Some id then t.phase <- Some name;
       redraw_u t)
 
-let task_done t ?seed ?(elapsed = 0.) ?(certified = true) id =
+let task_done t ?(elapsed = 0.) id =
   locked t (fun () ->
       t.completed <- t.completed + 1;
-      (* The flag is only written when false: "done" records stay
-         byte-compatible with pre-rescue heartbeat files, and a missing
-         flag reads as certified. *)
-      let extra = if certified then [] else [ ("certified", Json.Bool false) ] in
-      heartbeat_u ~extra t ~event:"done" ~model:(Some id) ~seed ~phase:None
-        ~elapsed;
-      if not t.tty && t.out <> None then
+      if not t.tty then
         println_u t
           (Printf.sprintf "%s [%d/%d] %s done in %s%s" t.label t.completed
              t.total id (duration elapsed) (eta_cell_u t));
@@ -270,51 +207,4 @@ let close t =
         (Printf.sprintf "%s: %d/%d done%s in %s" t.label t.completed t.total
            (if t.skipped > 0 then Printf.sprintf " (%d skipped)" t.skipped
             else "")
-           (duration (elapsed_u t)));
-      match t.heartbeat with Some oc -> flush oc | None -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Resume                                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Model ids recorded as completed ("done" — or "skip", which a resumed
-   run emits for models it found already done) in a heartbeat JSONL
-   file. Missing files and unparsable lines yield no ids rather than
-   errors: a heartbeat file is best-effort by design.
-
-   [require_certified] drops "done" records carrying
-   ["certified": false] — models whose run ended on a
-   rescued-but-uncertified rung. A resumed run then retries them just
-   like outright failures (which emit no "done" at all), so harvesting
-   with an accept-uncertified policy cannot silently pin partial
-   rescues. Records without the flag (all pre-rescue heartbeat files)
-   read as certified. *)
-let load_completed ?(require_certified = false) path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let ids = ref [] in
-    let seen = Hashtbl.create 16 in
-    (try
-       while true do
-         let line = input_line ic in
-         match Json.parse line with
-         | Error _ -> ()
-         | Ok j -> (
-           match (Json.member "event" j, Json.member "model" j) with
-           | Some (Json.String (("done" | "skip") as ev)), Some (Json.String id)
-             ->
-             let uncertified =
-               require_certified && ev = "done"
-               && Json.member "certified" j = Some (Json.Bool false)
-             in
-             if (not uncertified) && not (Hashtbl.mem seen id) then begin
-               Hashtbl.add seen id ();
-               ids := id :: !ids
-             end
-           | _ -> ())
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !ids
-  end
+           (duration (elapsed_u t))))

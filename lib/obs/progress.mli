@@ -1,21 +1,18 @@
 (** Sweep progress reporting for long experiment runs.
 
     A reporter tracks [completed]/[total] models, derives an ETA from
-    elapsed wall time, draws a TTY-aware live status line (single
+    elapsed wall time, and draws a TTY-aware live status line (single
     rewritten line on a terminal, one scrolling line per completed model
-    otherwise), and optionally appends JSONL heartbeat records — model
-    id, seed, phase, elapsed — to a channel. The heartbeat file doubles
-    as a checkpoint: {!load_completed} returns the model ids a previous
-    run finished so a rerun can skip them.
+    otherwise). It keeps no record of the run: the resume checkpoint is
+    the run ledger ({!Ledger.completed}).
 
     All state and rendering sit behind one mutex, so a single reporter
-    can be shared by worker domains: heartbeat records never interleave
-    mid-line and the TTY status line never tears. Sequential sweeps use
-    the implicit-current {!start}/{!phase}/{!finish} lifecycle;
-    concurrent workers must use {!task_start}/{!task_phase}/{!task_done}
-    instead, which carry the model id explicitly (with several models in
-    flight, "the current model" no longer identifies whose event is
-    being reported). *)
+    can be shared by worker domains without tearing the status line.
+    Sequential sweeps use the implicit-current {!start}/{!phase}/{!finish}
+    lifecycle; concurrent workers must use
+    {!task_start}/{!task_phase}/{!task_done} instead, which carry the
+    model id explicitly (with several models in flight, "the current
+    model" no longer identifies whose event is being reported). *)
 
 type t
 
@@ -24,17 +21,15 @@ val create :
   ?out:out_channel ->
   ?tty:bool ->
   ?quiet:bool ->
-  ?heartbeat:out_channel ->
   total:int ->
   string ->
   t
 (** [create ~total label]. [clock] (default monotonic [Span.now]) makes
     ETA math deterministic in tests. [out] (default [stderr]) receives
     console output unless [quiet]; [tty] overrides terminal detection on
-    [out]. [heartbeat] receives one JSONL record per event; the caller
-    owns the channel. *)
+    [out]. *)
 
-val start : t -> ?seed:int -> string -> unit
+val start : t -> string -> unit
 (** [start t id] marks model [id] as running. *)
 
 val phase : t -> string -> unit
@@ -43,36 +38,31 @@ val phase : t -> string -> unit
 val finish : t -> unit
 (** Mark the current model done; bumps [completed]. *)
 
-val skip : t -> ?seed:int -> string -> unit
-(** Record model [id] as skipped (e.g. found in a resume file). Counts
-    toward [completed] so ETA reflects remaining work only. *)
+val skip : t -> unit
+(** Count one model as skipped (e.g. found in a resume checkpoint). It
+    counts toward [completed] so ETA reflects remaining work only. *)
 
 (** {1 Concurrent lifecycle}
 
     Explicit-id events for fleet workers sharing one reporter across
-    domains. Safe to mix with {!skip} (which already names its model);
-    do not mix with {!start}/{!finish} on the same reporter. *)
+    domains. Safe to mix with {!skip}; do not mix with
+    {!start}/{!finish} on the same reporter. *)
 
-val task_start : t -> ?seed:int -> string -> unit
-(** Emit a ["start"] heartbeat for model [id]; the live line shows the
-    most recently started task. *)
+val task_start : t -> string -> unit
+(** Mark model [id] as running; the live line shows the most recently
+    started task. *)
 
 val task_phase : t -> id:string -> string -> unit
-(** Emit a ["phase"] heartbeat for model [id]. *)
+(** Name the phase model [id] is in. *)
 
-val task_done :
-  t -> ?seed:int -> ?elapsed:float -> ?certified:bool -> string -> unit
-(** Emit a ["done"] heartbeat for model [id] and bump [completed].
-    [elapsed] is the task's own wall time as measured by the caller
-    (the reporter cannot attribute shared wall time to one of several
-    in-flight tasks); defaults to [0.]. [certified] (default [true])
-    marks whether every solve of the task passed its optimality
-    certificate; [false] stamps ["certified": false] on the record so
-    {!load_completed} [~require_certified:true] will not count it. *)
+val task_done : t -> ?elapsed:float -> string -> unit
+(** Mark model [id] done and bump [completed]. [elapsed] is the task's
+    own wall time as measured by the caller (the reporter cannot
+    attribute shared wall time to one of several in-flight tasks);
+    defaults to [0.]. *)
 
 val close : t -> unit
-(** Clear the live line, print a final summary, flush the heartbeat
-    channel (without closing it). *)
+(** Clear the live line and print a final summary. *)
 
 val completed : t -> int
 val elapsed : t -> float
@@ -80,11 +70,3 @@ val elapsed : t -> float
 val eta_seconds : t -> float option
 (** [elapsed / completed * remaining]; [None] until the first model
     completes or once everything is done. *)
-
-val load_completed : ?require_certified:bool -> string -> string list
-(** Model ids recorded as done (or skipped) in a heartbeat JSONL file,
-    deduplicated, in file order. A missing file or unparsable lines
-    yield no ids rather than an error. [~require_certified:true]
-    (default [false]) additionally drops ["done"] records stamped
-    ["certified": false] — a resumed fleet run then re-runs
-    rescued-but-uncertified models exactly like failed ones. *)

@@ -1,7 +1,7 @@
 (* Explicit, domain-safe run context.
 
    Historically the observability stack kept run state in process
-   globals — [Health.cur], the ledger's sink-wide context, [Prof]'s
+   globals — [Health.cur], the ledger's sink-wide context, the profiling
    flag — which pinned everything to one domain: two domains evaluating
    models concurrently would interleave their health snapshots and
    ledger provenance. A [Run_ctx.t] carries that per-unit-of-work state

@@ -3,12 +3,16 @@
    float keeps the rest of the span arithmetic unchanged. *)
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-(* GC/allocation profiling is owned here (rather than in [Prof]) so that
-   [with_] can read it without a dependency cycle; [Prof.enable] flips
-   it. *)
-let gc_profiling_flag = Atomic.make false
-let set_gc_profiling b = Atomic.set gc_profiling_flag b
-let gc_profiling () = Atomic.get gc_profiling_flag
+(* The profiling switch. Hot-path instrumentation (simplex
+   price/ratio/update, constraint-row emission vs assembly) checks
+   [is_profiling] before reading the clock, and [with_] records GC
+   deltas only while it is on. Atomic, not a bare ref: worker domains
+   consult the flag on their solver hot paths while the main domain may
+   flip it. *)
+let profiling_flag = Atomic.make false
+let enable_profiling () = Atomic.set profiling_flag true
+let disable_profiling () = Atomic.set profiling_flag false
+let is_profiling () = Atomic.get profiling_flag
 
 type agg = {
   mutable count : int;
@@ -95,7 +99,7 @@ let with_ ?(collector = default) name f =
   let gc_snapshot () =
     { (Gc.quick_stat ()) with Gc.minor_words = Gc.minor_words () }
   in
-  let g0 = if Atomic.get gc_profiling_flag then Some (gc_snapshot ()) else None in
+  let g0 = if Atomic.get profiling_flag then Some (gc_snapshot ()) else None in
   let t0 = collector.clock () in
   Fun.protect f ~finally:(fun () ->
       (* Clamp: a stepped wall clock injected via [?clock] (or plain
@@ -184,3 +188,157 @@ let reset ?(collector = default) () =
   (* Open-span stacks are domain-local; only the calling domain's stack
      can be cleared here. *)
   stack_of collector := []
+
+(* ------------------------------------------------------------------ *)
+(* Self-time attribution                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* For every path, self = total − Σ direct children totals, so summing
+   self over all paths telescopes to the summed root totals ≈ measured
+   wall time. *)
+
+type row = {
+  path : string list;
+  count : int;
+  total : float;
+  self : float;
+  max_ : float;
+  minor_words : float;
+  self_minor_words : float;
+  major_words : float;
+  promoted_words : float;
+  compactions : int;
+}
+
+let is_direct_child ~parent path =
+  let rec strip p c =
+    match (p, c) with
+    | [], [ _ ] -> true
+    | x :: p, y :: c when String.equal x y -> strip p c
+    | _ -> false
+  in
+  strip parent path
+
+let attribution ?entries () =
+  let entries = match entries with Some e -> e | None -> snapshot () in
+  let rows =
+    List.map
+      (fun (e : entry) ->
+        let kids =
+          List.filter
+            (fun (k : entry) -> is_direct_child ~parent:e.path k.path)
+            entries
+        in
+        let child_total =
+          List.fold_left (fun acc (k : entry) -> acc +. k.total) 0. kids
+        in
+        let child_minor =
+          List.fold_left (fun acc (k : entry) -> acc +. k.minor_words) 0. kids
+        in
+        {
+          path = e.path;
+          count = e.count;
+          total = e.total;
+          self = Float.max 0. (e.total -. child_total);
+          max_ = e.max_;
+          minor_words = e.minor_words;
+          self_minor_words = Float.max 0. (e.minor_words -. child_minor);
+          major_words = e.major_words;
+          promoted_words = e.promoted_words;
+          compactions = e.compactions;
+        })
+      entries
+  in
+  List.sort (fun (a : row) b -> compare b.self a.self) rows
+
+let self_total rows =
+  List.fold_left (fun acc (r : row) -> acc +. r.self) 0. rows
+
+(* Subtract [baseline] aggregates from [current], path by path; rows
+   that saw no activity since the baseline are dropped. Lets callers
+   (e.g. the bench harness) attribute one section of a longer run
+   without resetting the global collector. *)
+let diff ~baseline current =
+  let base = Hashtbl.create 32 in
+  List.iter (fun (e : entry) -> Hashtbl.replace base e.path e) baseline;
+  List.filter_map
+    (fun (e : entry) ->
+      let e =
+        match Hashtbl.find_opt base e.path with
+        | None -> e
+        | Some b ->
+          {
+            e with
+            count = e.count - b.count;
+            total = e.total -. b.total;
+            minor_words = e.minor_words -. b.minor_words;
+            major_words = e.major_words -. b.major_words;
+            promoted_words = e.promoted_words -. b.promoted_words;
+            compactions = e.compactions - b.compactions;
+          }
+      in
+      if e.count <= 0 && e.total <= 0. then None else Some e)
+    current
+
+(* ------------------------------------------------------------------ *)
+(* Folded stacks (flamegraph)                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* One line per path: "a;b;c <self-microseconds>". Standard flamegraph
+   tooling (flamegraph.pl, inferno, speedscope) consumes this directly;
+   self-time is the correct per-frame value because the tools re-derive
+   cumulative time by summing descendants. *)
+let folded ?entries () =
+  let rows = attribution ?entries () in
+  let rows = List.sort (fun (a : row) b -> compare a.path b.path) rows in
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (r : row) ->
+      Buffer.add_string buf (String.concat ";" r.path);
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf
+        (string_of_int (int_of_float ((r.self *. 1e6) +. 0.5)));
+      Buffer.add_char buf '\n')
+    rows;
+  Buffer.contents buf
+
+let parse_folded s =
+  String.split_on_char '\n' s
+  |> List.filter_map (fun line ->
+         let line = String.trim line in
+         if line = "" then None
+         else
+           match String.rindex_opt line ' ' with
+           | None -> None
+           | Some i ->
+             let stack = String.sub line 0 i in
+             let value = String.sub line (i + 1) (String.length line - i - 1) in
+             (match int_of_string_opt value with
+             | None -> None
+             | Some v -> Some (String.split_on_char ';' stack, v)))
+
+(* ------------------------------------------------------------------ *)
+(* JSON                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let attribution_json ?limit rows =
+  let rows =
+    match limit with
+    | Some n when n >= 0 -> List.filteri (fun i _ -> i < n) rows
+    | _ -> rows
+  in
+  Json.List
+    (List.map
+       (fun (r : row) ->
+         Json.Object
+           [
+             ("path", Json.String (String.concat "/" r.path));
+             ("count", Json.Number (float_of_int r.count));
+             ("total_s", Json.Number r.total);
+             ("self_s", Json.Number r.self);
+             ("max_s", Json.Number r.max_);
+             ("minor_words", Json.Number r.minor_words);
+             ("major_words", Json.Number r.major_words);
+             ("promoted_words", Json.Number r.promoted_words);
+           ])
+       rows)

@@ -57,7 +57,7 @@ let derive ~seed index =
   let b = splitmix64 state in
   (* Top 52 bits: non-negative, within OCaml's native int range, and
      exactly representable as an IEEE double — derived seeds are
-     recorded in JSON (ledger, heartbeats, fleet rows) whose only
+     recorded in JSON (ledger records, fleet rows) whose only
      number type is a double, and a seed that rounds on the way to disk
      cannot reproduce the run it labels. *)
   Int64.to_int (Int64.shift_right_logical b 12)

@@ -25,7 +25,7 @@ val derive : seed:int -> int -> int
     Unlike {!split} it consumes no generator state, so a fleet can hand
     task [i] the same seed regardless of worker assignment or completion
     order. Non-negative and at most 52 bits, so the seed survives a
-    JSON round-trip (ledger records, heartbeat checkpoints) exactly. *)
+    JSON round-trip (ledger records, fleet rows) exactly. *)
 
 val uint64 : t -> int64
 (** Next raw 64-bit output. *)

@@ -632,24 +632,25 @@ let test_sweep_brackets_exact () =
       done)
     [ 1; 2; 3; 4; 5 ]
 
-let test_sweep_run_progress_and_skip () =
-  (* [Sweep.run] owns the progress wiring: one model per population,
-     skipped ids reported and omitted from the results. *)
-  let stepped = ref [] in
+let test_sweep_run_progress () =
+  (* [Sweep.run] owns the progress wiring: one progress model per
+     population, results in sweep order, and the LP step runs only for
+     populations whose [f] asks for bounds. *)
   let sweep = Bounds.Sweep.create (fun population -> fig5 ~population ()) in
+  let progress = Mapqn_obs.Progress.create ~quiet:true ~total:3 "sweep" in
   let results =
-    Bounds.Sweep.run sweep ~populations:[ 1; 2; 3 ]
-      ~skip:(fun id -> id = "N=2")
+    Bounds.Sweep.run ~progress sweep ~populations:[ 1; 2; 3 ]
       ~f:(fun ~phase ~bounds population ->
         phase "exact";
-        let b = bounds () in
-        stepped := population :: !stepped;
-        Bounds.utilization b 0)
+        if population = 2 then None
+        else Some (Bounds.utilization (bounds ()) 0))
   in
-  Alcotest.(check (list int))
-    "skipped population omitted" [ 1; 3 ]
+  Alcotest.(check (list int)) "results in sweep order" [ 1; 2; 3 ]
     (List.map fst results);
-  Alcotest.(check (list int)) "stepped populations" [ 1; 3 ] (List.rev !stepped)
+  Alcotest.(check int) "one progress model per population" 3
+    (Mapqn_obs.Progress.completed progress);
+  Alcotest.(check int) "stepped only on demand" 2
+    (Bounds.Sweep.stats sweep).Bounds.Sweep.steps
 
 let test_sweep_ledger_records () =
   (* With a ledger enabled, every sweep step and every eval appends
@@ -786,8 +787,8 @@ let () =
             test_incremental_rejects_other_network;
           Alcotest.test_case "stepped bounds bracket exact" `Quick
             test_sweep_brackets_exact;
-          Alcotest.test_case "run progress and skip" `Quick
-            test_sweep_run_progress_and_skip;
+          Alcotest.test_case "run progress and lazy steps" `Quick
+            test_sweep_run_progress;
           Alcotest.test_case "unsupported network" `Quick
             test_sweep_unsupported_network;
           Alcotest.test_case "ledger records per step and eval" `Quick

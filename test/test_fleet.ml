@@ -273,30 +273,49 @@ let test_concurrent_eval_no_torn_records () =
       | rs -> Alcotest.failf "expected 2 records for N=%d, got %d" p (List.length rs))
     [ 6; 9 ]
 
-(* ---------------- Progress checkpoint round-trip ---------------- *)
+(* ---------------- Ledger checkpoint round-trip ---------------- *)
+
+(* [run_tasks] with the ledger on [path]: the run's "done" and "skip"
+   records land there. *)
+let run_ledgered path ?progress ?certified ~skip ~f total =
+  Ledger.enable_exn ~path ();
+  Fun.protect ~finally:Ledger.disable @@ fun () ->
+  Fleet.run_tasks ~jobs:2 ?progress ?certified ~skip ~seed:7
+    ~ids:(Printf.sprintf "job-%02d") ~total ~f ()
 
 let test_run_tasks_resume_checkpoint () =
-  let hb = Filename.temp_file "mapqn_fleet_hb" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove hb) @@ fun () ->
-  let ids = Printf.sprintf "job-%02d" in
-  let run ~skip =
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 hb in
-    Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-    let p = Mapqn_obs.Progress.create ~quiet:true ~heartbeat:oc ~total:6 "test" in
-    Fleet.run_tasks ~jobs:2 ~progress:p ~skip ~seed:7 ~ids ~total:6
-      ~f:(fun i ->
-        if (not (skip (ids i))) && i >= 4 then failwith "crash" else i)
-      ()
+  with_temp_ledger @@ fun ledger ->
+  let crash_from_4 ~skip i =
+    if (not (skip (Printf.sprintf "job-%02d" i))) && i >= 4 then
+      failwith "crash"
+    else i
   in
-  (* First run: tasks 0..3 complete, 4 and 5 fail (no "done" heartbeat). *)
-  ignore (run ~skip:(fun _ -> false));
-  let done1 = List.sort compare (Mapqn_obs.Progress.load_completed hb) in
+  (* First run: tasks 0..3 complete, 4 and 5 fail (no "done" record). *)
+  let skip _ = false in
+  ignore (run_ledgered ledger ~skip ~f:(crash_from_4 ~skip) 6);
+  let done1 = List.sort compare (Ledger.completed ledger) in
   Alcotest.(check (list string)) "failed tasks not checkpointed"
     [ "job-00"; "job-01"; "job-02"; "job-03" ]
     done1;
+  (* Each "done" record is written inside its task's run context: it
+     names the model and that task's derived seed. *)
+  List.iter
+    (fun r ->
+      if Ledger.event r = "done" then
+        match (Json.member "model" r, Json.member "seed" r) with
+        | Some (Json.String id), Some (Json.Number seed) ->
+          let index = Scanf.sscanf id "job-%d" Fun.id in
+          Alcotest.(check int) (id ^ " derived seed")
+            (Fleet.task_seed ~seed:7 index)
+            (int_of_float seed)
+        | _ -> Alcotest.fail "done record lacks model or seed")
+    (Ledger.load ledger);
   (* Resume: skip what the checkpoint marks done; the rest retries. *)
-  let done_set = done1 in
-  let outcomes = run ~skip:(fun id -> List.mem id done_set) in
+  let progress = Mapqn_obs.Progress.create ~quiet:true ~total:6 "test" in
+  let skip id = List.mem id done1 in
+  let outcomes =
+    run_ledgered ledger ~progress ~skip ~f:(crash_from_4 ~skip) 6
+  in
   Array.iteri
     (fun i o ->
       match (i < 4, o) with
@@ -304,7 +323,9 @@ let test_run_tasks_resume_checkpoint () =
       | false, Fleet.Failed _ -> ()
       | _ -> Alcotest.failf "task %d has the wrong outcome on resume" i)
     outcomes;
-  let done2 = List.sort compare (Mapqn_obs.Progress.load_completed hb) in
+  Alcotest.(check int) "skips count as progress" 4
+    (Mapqn_obs.Progress.completed progress);
+  let done2 = List.sort compare (Ledger.completed ledger) in
   Alcotest.(check (list string)) "resume neither duplicates nor loses"
     done1 done2
 
@@ -313,22 +334,16 @@ let test_run_tasks_resume_checkpoint () =
    "certified": false; a resume that insists on certificates re-runs it,
    a plain resume does not. *)
 let test_run_tasks_resume_uncertified () =
-  let hb = Filename.temp_file "mapqn_fleet_hb" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove hb) @@ fun () ->
-  let ids = Printf.sprintf "job-%02d" in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 hb in
-  (Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-   let p = Mapqn_obs.Progress.create ~quiet:true ~heartbeat:oc ~total:4 "test" in
-   ignore
-     (Fleet.run_tasks ~jobs:2 ~progress:p ~certified:(fun i -> i <> 2)
-        ~skip:(fun _ -> false) ~seed:7 ~ids ~total:4 ~f:(fun i -> i) ()));
+  with_temp_ledger @@ fun ledger ->
+  ignore
+    (run_ledgered ledger ~certified:(fun i -> i <> 2) ~skip:(fun _ -> false)
+       ~f:Fun.id 4);
   Alcotest.(check (list string)) "plain resume keeps uncertified dones"
     [ "job-00"; "job-01"; "job-02"; "job-03" ]
-    (List.sort compare (Mapqn_obs.Progress.load_completed hb));
+    (List.sort compare (Ledger.completed ledger));
   Alcotest.(check (list string)) "certified resume re-runs job-02"
     [ "job-00"; "job-01"; "job-03" ]
-    (List.sort compare
-       (Mapqn_obs.Progress.load_completed ~require_certified:true hb))
+    (List.sort compare (Ledger.completed ~require_certified:true ledger))
 
 let () =
   Alcotest.run "fleet"

@@ -549,25 +549,25 @@ let test_prof_self_time () =
   Span.with_ ~collector:c "outer" (fun () ->
       Span.with_ ~collector:c "inner" (fun () -> ());
       Span.with_ ~collector:c "inner" (fun () -> ()));
-  let rows = Prof.attribution ~entries:(Span.snapshot ~collector:c ()) () in
-  let find path = List.find (fun r -> r.Prof.path = path) rows in
+  let rows = Span.attribution ~entries:(Span.snapshot ~collector:c ()) () in
+  let find path = List.find (fun (r : Span.row) -> r.path = path) rows in
   let outer = find [ "outer" ] and inner = find [ "outer"; "inner" ] in
-  check_float "outer total includes children" 5. outer.Prof.total;
-  check_float "outer self = total - children" 3. outer.Prof.self;
-  check_float "leaf self = own total" 2. inner.Prof.self;
+  check_float "outer total includes children" 5. outer.Span.total;
+  check_float "outer self = total - children" 3. outer.Span.self;
+  check_float "leaf self = own total" 2. inner.Span.self;
   (* The self column telescopes: summed self over all rows equals the
      summed root totals, i.e. the wall time of the instrumented region
      (the basis of `mapqn profile --check`). *)
-  check_float "self telescopes to wall" 5. (Prof.self_total rows);
+  check_float "self telescopes to wall" 5. (Span.self_total rows);
   match rows with
   | a :: b :: _ ->
     Alcotest.(check bool) "sorted by self descending" true
-      (a.Prof.self >= b.Prof.self)
+      (a.Span.self >= b.Span.self)
   | _ -> Alcotest.fail "expected two attribution rows"
 
 let test_prof_gc_deltas () =
-  Prof.enable ();
-  Fun.protect ~finally:Prof.disable @@ fun () ->
+  Span.enable_profiling ();
+  Fun.protect ~finally:Span.disable_profiling @@ fun () ->
   let c = Span.create () in
   (* Small allocations only: blocks above the minor-heap threshold go
      straight to the major heap and would not show up in minor words. *)
@@ -591,14 +591,14 @@ let test_prof_gc_deltas () =
      full GC delta, including the child's. *)
   Alcotest.(check bool) "parent >= child despite raise" true
     (parent.Span.minor_words >= child.Span.minor_words +. 1000.);
-  let rows = Prof.attribution ~entries () in
-  let prow = List.find (fun r -> r.Prof.path = [ "alloc" ]) rows in
+  let rows = Span.attribution ~entries () in
+  let prow = List.find (fun (r : Span.row) -> r.path = [ "alloc" ]) rows in
   Alcotest.(check bool) "self words exclude the child" true
-    (prow.Prof.self_minor_words >= 1000.
-    && prow.Prof.self_minor_words
+    (prow.Span.self_minor_words >= 1000.
+    && prow.Span.self_minor_words
        <= parent.Span.minor_words -. child.Span.minor_words);
   (* With profiling off again, spans record no GC deltas at all. *)
-  Prof.disable ();
+  Span.disable_profiling ();
   Span.with_ ~collector:c "quiet" (fun () -> churn ());
   let quiet = List.find (fun e -> e.Span.path = [ "quiet" ]) (Span.snapshot ~collector:c ()) in
   check_float "no delta when disabled" 0. quiet.Span.minor_words
@@ -609,12 +609,12 @@ let test_prof_folded_roundtrip () =
   Span.with_ ~collector:c "a" (fun () ->
       Span.with_ ~collector:c "b" (fun () -> ()));
   let entries = Span.snapshot ~collector:c () in
-  let folded = Prof.folded ~entries () in
+  let folded = Span.folded ~entries () in
   Alcotest.(check (list (pair (list string) int))) "parses back"
     [ ([ "a" ], 2_000_000); ([ "a"; "b" ], 1_000_000) ]
-    (Prof.parse_folded folded);
+    (Span.parse_folded folded);
   Alcotest.(check int) "garbage lines skipped" 2
-    (List.length (Prof.parse_folded (folded ^ "not a folded line\n")))
+    (List.length (Span.parse_folded (folded ^ "not a folded line\n")))
 
 let test_span_backwards_clock () =
   (* A clock stepping backwards must clamp, not record negative time. *)
@@ -645,9 +645,9 @@ let test_span_add () =
   check_float "carried minor words" 42. acc.Span.minor_words;
   (* Externally-accumulated children reduce the parent's self-time just
      like [with_] children: outer ran 1s, 0.9s of it attributed away. *)
-  let rows = Prof.attribution ~entries () in
-  let outer = List.find (fun r -> r.Prof.path = [ "outer" ]) rows in
-  check_float "add reduces parent self" 0.1 outer.Prof.self
+  let rows = Span.attribution ~entries () in
+  let outer = List.find (fun (r : Span.row) -> r.path = [ "outer" ]) rows in
+  check_float "add reduces parent self" 0.1 outer.Span.self
 
 let test_span_domain_safety () =
   (* Two domains nest spans concurrently on one collector: the
@@ -685,8 +685,8 @@ let test_prof_phase_spans_end_to_end () =
   (* With profiling enabled, a bounds build records the split constraint
      assembly phases and the pivot-loop phase accumulators. *)
   Span.reset ();
-  Prof.enable ();
-  Fun.protect ~finally:Prof.disable @@ fun () ->
+  Span.enable_profiling ();
+  Fun.protect ~finally:Span.disable_profiling @@ fun () ->
   let net = Mapqn_workloads.Tandem.network ~population:4 () in
   ignore (Mapqn_core.Bounds.response_time (Mapqn_core.Bounds.create_exn net));
   let paths = List.map (fun e -> e.Span.path) (Span.snapshot ()) in
@@ -704,15 +704,10 @@ let test_prof_phase_spans_end_to_end () =
 let test_progress_eta () =
   let now = ref 0. in
   let clock () = !now in
-  let tmp = Filename.temp_file "mapqn_hb" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove tmp) @@ fun () ->
-  let oc = open_out tmp in
-  let p =
-    Progress.create ~clock ~quiet:true ~heartbeat:oc ~total:4 "sweep"
-  in
+  let p = Progress.create ~clock ~quiet:true ~total:4 "sweep" in
   Alcotest.(check (option (float 0.))) "no eta before first completion" None
     (Progress.eta_seconds p);
-  Progress.start p ~seed:7 "model-0000";
+  Progress.start p "model-0000";
   Progress.phase p "N=8";
   now := 10.;
   Progress.finish p;
@@ -722,7 +717,7 @@ let test_progress_eta () =
   | None -> Alcotest.fail "expected an eta after one completion");
   (* A skipped model counts as completed work, so the ETA projects only
      onto genuinely remaining models: 2 done in 10s -> 2 more in 10s. *)
-  Progress.skip p "model-0001";
+  Progress.skip p;
   (match Progress.eta_seconds p with
   | Some eta -> check_float "skip counts toward eta" 10. eta
   | None -> Alcotest.fail "expected an eta after skip");
@@ -734,30 +729,7 @@ let test_progress_eta () =
   Alcotest.(check (option (float 0.))) "no eta once done" None
     (Progress.eta_seconds p);
   Alcotest.(check int) "completed" 4 (Progress.completed p);
-  Progress.close p;
-  close_out oc;
-  (* The heartbeat file doubles as a checkpoint: done and skip events
-     resolve to the model ids a rerun may skip. *)
-  Alcotest.(check (list string)) "resume substrate"
-    [ "model-0000"; "model-0001"; "model-0002"; "model-0003" ]
-    (Progress.load_completed tmp);
-  (* Every record is one parsable JSON line carrying the sweep label. *)
-  let ic = open_in tmp in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Alcotest.(check bool) "heartbeats written" true (List.length !lines > 4);
-  List.iter
-    (fun l ->
-      let j = Json.parse_exn l in
-      Alcotest.(check (option string)) "label" (Some "sweep")
-        (Json.get_string (json_get [ "label" ] j));
-      if Json.member "event" j = None then Alcotest.fail "heartbeat lacks event")
-    !lines
+  Progress.close p
 
 (* ---------------- Run ledger ---------------- *)
 
@@ -1108,21 +1080,38 @@ let test_export_percentile () =
      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
      go 0)
 
-let test_load_completed_robust () =
-  let tmp = Filename.temp_file "mapqn_hb" ".jsonl" in
+let test_ledger_completed_robust () =
+  let tmp = Filename.temp_file "mapqn_ledger" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove tmp) @@ fun () ->
   let oc = open_out tmp in
+  (* Dedup, garbage lines, solver records that name a model, a skip
+     record (how a resumed run carries its predecessor's models) and a
+     torn final line from a killed run. *)
   output_string oc
     ("{\"event\":\"done\",\"model\":\"a\"}\n" ^ "this line is not JSON\n"
-   ^ "{\"event\":\"phase\",\"model\":\"b\"}\n"
+   ^ "{\"event\":\"eval\",\"model\":\"b\"}\n"
    ^ "{\"event\":\"skip\",\"model\":\"c\"}\n"
-   ^ "{\"event\":\"done\",\"model\":\"a\"}\n");
+   ^ "{\"event\":\"done\",\"model\":\"a\"}\n"
+   ^ "{\"event\":\"done\",\"model\":\"d\",\"cert");
   close_out oc;
   Alcotest.(check (list string)) "dedup, skip garbage, keep order"
     [ "a"; "c" ]
-    (Progress.load_completed tmp);
+    (Ledger.completed tmp);
   Alcotest.(check (list string)) "missing file yields no ids" []
-    (Progress.load_completed (tmp ^ ".does-not-exist"))
+    (Ledger.completed (tmp ^ ".does-not-exist"));
+  (* The checkpoint records share the file with solver records, but the
+     doctor judges only the latter: the same failing certificate is a
+     finding on an "eval" record and none on a "done" record. *)
+  let with_event ev =
+    Json.parse_exn
+      (Printf.sprintf
+         "{\"event\":%S,\"model\":\"x\",\"certificate\":{\"primal_residual\":1}}"
+         ev)
+  in
+  Alcotest.(check int) "doctor ignores done/skip" 0
+    (List.length (Ledger.doctor [ with_event "done"; with_event "skip" ]));
+  Alcotest.(check bool) "doctor flags the same eval" true
+    (Ledger.doctor [ with_event "eval" ] <> [])
 
 let () =
   Alcotest.run "obs"
@@ -1182,10 +1171,8 @@ let () =
         ] );
       ( "progress",
         [
-          Alcotest.test_case "deterministic eta + heartbeats" `Quick
+          Alcotest.test_case "deterministic eta" `Quick
             test_progress_eta;
-          Alcotest.test_case "resume file robustness" `Quick
-            test_load_completed_robust;
         ] );
       ( "ledger",
         [
@@ -1197,6 +1184,8 @@ let () =
             test_ledger_double_enable;
           Alcotest.test_case "crash resume skips torn line" `Quick
             test_ledger_crash_resume;
+          Alcotest.test_case "resume file robustness" `Quick
+            test_ledger_completed_robust;
           Alcotest.test_case "diff reports known bound delta" `Quick
             test_ledger_diff;
           Alcotest.test_case "doctor tells the fig8 story" `Quick
